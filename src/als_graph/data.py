@@ -301,8 +301,11 @@ def read_matrix_binary(path) -> np.ndarray:
             raise ValueError(f"{path}: unsupported element size {elem}")
         dtype = "<f8" if elem == 8 else "<f4"
         data = np.frombuffer(fh.read(rows * cols * elem), dtype=dtype)
+        trailing = fh.read(1)
     if data.size != rows * cols:
         raise ValueError(f"{path}: truncated matrix payload")
+    if trailing:
+        raise ValueError(f"{path}: trailing bytes after the matrix payload")
     return data.astype(np.float64).reshape(rows, cols)
 
 

@@ -79,6 +79,14 @@ class CsrGraph:
             shape=(self.num_nodes, self.num_nodes),
         )
 
+    @cached_property
+    def _sym_norm_op(self) -> sp.csr_array:
+        """D^-1/2 (A + I) D^-1/2 with D the degrees of A + I."""
+        scale = 1.0 / np.sqrt(self.degrees + 1.0)
+        op = (self._scipy + sp.identity(self.num_nodes, format="csr")).tocsr()
+        op.data *= np.repeat(scale, np.diff(op.indptr)) * scale[op.indices]
+        return op
+
     def structurally_equal(self, other: "CsrGraph") -> bool:
         return (
             self.num_nodes == other.num_nodes
@@ -129,7 +137,9 @@ def normalized_spmm(g: CsrGraph, m: np.ndarray, mode: str) -> np.ndarray:
         (inverse-degree scaling); degree-0 rows map to zero rows.
     ``sym_norm_self_loops``
         Symmetric normalization with an implicit self loop on every node,
-        i.e. the operator used by standard graph-convolution layers.
+        i.e. the operator used by standard graph-convolution layers. The
+        operator is built on first use and cached on ``g``, so later calls
+        on the same graph are a single sparse product.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != g.num_nodes:
@@ -140,9 +150,7 @@ def normalized_spmm(g: CsrGraph, m: np.ndarray, mode: str) -> np.ndarray:
         np.divide(1.0, deg, out=inv, where=deg > 0)
         return (g._scipy @ m) * inv[:, None]
     if mode == "sym_norm_self_loops":
-        scale = 1.0 / np.sqrt(g.degrees + 1.0)
-        scaled = m * scale[:, None]
-        return (g._scipy @ scaled + scaled) * scale[:, None]
+        return g._sym_norm_op @ m
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
@@ -150,7 +158,9 @@ def induced_subgraph(g: CsrGraph, nodes) -> tuple[CsrGraph, np.ndarray]:
     """Subgraph on ``nodes`` keeping exactly the edges with both endpoints inside.
 
     Local ids follow the order of ``nodes``; the returned index array maps
-    local id -> global id.
+    local id -> global id. When ``nodes`` is ``0 .. n-1`` in order the
+    subgraph is ``g`` itself (graphs are immutable), so operators cached on
+    ``g`` carry over.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.ndim != 1 or nodes.size == 0:
@@ -159,18 +169,7 @@ def induced_subgraph(g: CsrGraph, nodes) -> tuple[CsrGraph, np.ndarray]:
         raise ValueError("node id out of range")
     if np.unique(nodes).size != nodes.size:
         raise ValueError("duplicate node in node set")
-    local_of = np.full(g.num_nodes, -1, dtype=np.int64)
-    local_of[nodes] = np.arange(nodes.size)
-    starts = g.row_offsets[nodes]
-    lengths = g.row_offsets[nodes + 1] - starts
-    total = int(lengths.sum())
-    if total:
-        shift = np.repeat(starts - np.concatenate(([0], np.cumsum(lengths)[:-1])), lengths)
-        take = np.arange(total) + shift
-        src_local = np.repeat(np.arange(nodes.size), lengths)
-        dst_local = local_of[g.col_indices[take]]
-        keep = dst_local >= 0
-        pairs = np.stack([src_local[keep], dst_local[keep]], axis=1)
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-    return build_csr(pairs, nodes.size), nodes.copy()
+    if nodes.size == g.num_nodes and np.array_equal(nodes, np.arange(g.num_nodes)):
+        return g, nodes.copy()
+    sub = g._scipy[nodes][:, nodes].sorted_indices()
+    return CsrGraph(nodes.size, sub.indptr, sub.indices), nodes.copy()

@@ -384,25 +384,29 @@ def _batch_loss(cfg: ExperimentConfig, dataset: Dataset, batch: Batch, logits: n
 
 def _evaluate_epoch(cfg: ExperimentConfig, dataset: Dataset, feats: np.ndarray,
                     params: ModelParams, refinement, yk, batches, alpha: float) -> dict[str, float]:
+    full_logits, _ = forward(params, full_batch(dataset), feats, train_mode=False)
     totals: list[float] = []
     correct = 0
     seen = 0
     for batch in batches:
         if batch.train_local.size == 0:
             continue
-        logits, _ = forward(params, batch, feats[batch.global_ids], train_mode=False)
+        if batch.subgraph is dataset.graph and batch.layer_graphs is None:
+            # only the identity node order or full_batch share the graph
+            # object, so the rows line up with the whole-graph logits
+            logits = full_logits
+        else:
+            logits, _ = forward(params, batch, feats[batch.global_ids], train_mode=False)
         breakdown, _, _ = _batch_loss(cfg, dataset, batch, logits, yk, refinement, alpha)
         totals.append(breakdown.total)
         gids = batch.global_ids[batch.train_local]
         correct += int((logits[batch.train_local].argmax(axis=1) == dataset.labels[gids]).sum())
         seen += gids.size
-    whole = full_batch(dataset)
-    logits, _ = forward(params, whole, feats, train_mode=False)
-    probs = softmax_rows(logits)
+    probs = softmax_rows(full_logits)
     test_ids = np.flatnonzero(dataset.test_mask)
     test_hard = one_hot(dataset.labels[test_ids], dataset.num_classes)
-    test_loss, _, _ = loss_and_grads(logits[test_ids], test_hard, mode="plain")
-    test_acc = float((logits[test_ids].argmax(axis=1) == dataset.labels[test_ids]).mean())
+    test_loss, _, _ = loss_and_grads(full_logits[test_ids], test_hard, mode="plain")
+    test_acc = float((full_logits[test_ids].argmax(axis=1) == dataset.labels[test_ids]).mean())
     train_ids = np.flatnonzero(dataset.train_mask)
     return {
         "train_loss": float(np.mean(totals)) if totals else 0.0,
@@ -482,7 +486,6 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
             wgrads, bgrads = backward(params, cache, dlogits)
             grads = wgrads + bgrads
             if refinement is not None:
-                refinement.grad = dw
                 grads.append(dw)
             try:
                 new_values, state = adam_step(current_values(), grads, state)

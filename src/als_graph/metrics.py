@@ -40,9 +40,10 @@ def bias_stats(batches, dataset: Dataset) -> BiasStats:
 
     A single batch yields zero std by convention.
     """
-    fractions = np.stack([batch_class_fraction(b, dataset) for b in batches])
-    if fractions.shape[0] == 0:
+    batches = list(batches)
+    if not batches:
         raise ValueError("need at least one batch")
+    fractions = np.stack([batch_class_fraction(b, dataset) for b in batches])
     mean = fractions.mean(axis=0)
     if fractions.shape[0] == 1:
         std = np.zeros_like(mean)

@@ -9,7 +9,7 @@ soft targets from collapsing onto the hard labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,10 +95,9 @@ def alpha_at(schedule: PacingSchedule, t: int) -> float:
 
 @dataclass
 class RefinementMatrix:
-    """Trainable C x C class-relevance matrix with its gradient slot."""
+    """Trainable C x C class-relevance matrix."""
 
     w: np.ndarray
-    grad: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         self.w = np.asarray(self.w, dtype=np.float64)
@@ -106,8 +105,6 @@ class RefinementMatrix:
             raise ValueError("relevance matrix must be square")
         if not np.isfinite(self.w).all():
             raise ValueError("relevance matrix must be finite")
-        if self.grad is None:
-            self.grad = np.zeros_like(self.w)
 
     @property
     def num_classes(self) -> int:

@@ -139,6 +139,13 @@ class TestMatrixPersistence:
         big = np.zeros((1100, 1000))
         assert write_features(big, tmp_path / "b").suffix == ".bin"
 
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        path = write_matrix_binary(rng.standard_normal((2, 3)), tmp_path / "m.bin")
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(ValueError, match="m.bin: trailing bytes"):
+            read_matrix_binary(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "m.bin").write_bytes(b"XXXX" + b"\0" * 12)
         with pytest.raises(ValueError, match="magic"):

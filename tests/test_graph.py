@@ -85,6 +85,10 @@ class TestNormalizedSpmm:
             expected = dense_sym_norm_self_loops(dense) @ m
             got = normalized_spmm(g, m, "sym_norm_self_loops")
             assert np.abs(got - expected).max() < 1e-12
+            op = g._sym_norm_op
+            again = normalized_spmm(g, m, "sym_norm_self_loops")
+            assert g._sym_norm_op is op
+            assert np.abs(again - expected).max() < 1e-12
 
     def test_identity_input_exposes_inverse_degrees(self, rng):
         dense, edges = random_undirected(rng, 8, 0.4)
@@ -121,10 +125,8 @@ class TestInducedSubgraph:
         dense, edges = random_undirected(rng, 7, 0.5)
         g = build_csr(edges, 7, symmetrize=True)
         sub, gids = induced_subgraph(g, np.arange(7))
-        assert sub.structurally_equal(g)
+        assert sub is g
         assert gids.tolist() == list(range(7))
-        again, _ = induced_subgraph(sub, np.arange(7))
-        assert again.structurally_equal(sub)
 
     def test_single_node_without_self_loop(self):
         g = build_csr([(0, 1)], 2, symmetrize=True)
@@ -138,18 +140,28 @@ class TestInducedSubgraph:
                 for u in range(2) for v in sub.neighbors(u)}
         assert kept == {(0, 1), (1, 0)}
 
+    @staticmethod
+    def assert_matches_edge_filter(dense, g, nodes):
+        sub, gids = induced_subgraph(g, nodes)
+        inside = set(int(x) for x in nodes)
+        expected = {(u, v) for u in inside for v in inside if dense[u, v]}
+        got = {(int(gids[u]), int(gids[v]))
+               for u in range(sub.num_nodes) for v in sub.neighbors(u)}
+        assert got == expected
+        return sub
+
     def test_random_graphs_match_edge_filter_oracle(self, rng):
         for _ in range(10):
             n = int(rng.integers(3, 15))
             dense, edges = random_undirected(rng, n, 0.4)
             g = build_csr(edges, n, symmetrize=True)
-            nodes = rng.permutation(n)[: int(rng.integers(1, n + 1))]
-            sub, gids = induced_subgraph(g, nodes)
-            inside = set(int(x) for x in nodes)
-            expected = {(u, v) for u in inside for v in inside if dense[u, v]}
-            got = {(int(gids[u]), int(gids[v]))
-                   for u in range(sub.num_nodes) for v in sub.neighbors(u)}
-            assert got == expected
+            self.assert_matches_edge_filter(dense, g, rng.permutation(n)[: int(rng.integers(1, n + 1))])
+
+    def test_permuted_full_node_set_is_a_new_graph(self, rng):
+        dense, edges = random_undirected(rng, 9, 0.5)
+        g = build_csr(edges, 9, symmetrize=True)
+        sub = self.assert_matches_edge_filter(dense, g, np.roll(np.arange(9), 1))
+        assert sub is not g
 
     def test_preserves_caller_node_order(self):
         g = build_csr([(0, 1), (1, 2)], 3, symmetrize=True)

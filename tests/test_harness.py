@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from als_graph import harness
 from als_graph.data import SbmParams, generate_sbm
 from als_graph.harness import (
     ExperimentConfig,
@@ -166,6 +167,48 @@ class TestRunExperiment:
         finals = [r.per_epoch[-1].test_acc for r in reports]
         assert aggregated.final_test_acc_mean == pytest.approx(np.mean(finals))
         assert aggregated.final_test_acc_std == pytest.approx(np.std(finals, ddof=1))
+
+
+class TestEvaluationForwards:
+    @staticmethod
+    def count_eval_forwards(monkeypatch) -> list[int]:
+        calls: list[int] = []
+        real = harness.forward
+
+        def counting(params, batch, features, train_mode, seed=0):
+            if not train_mode:
+                calls.append(batch.num_nodes)
+            return real(params, batch, features, train_mode, seed)
+        monkeypatch.setattr(harness, "forward", counting)
+        return calls
+
+    @pytest.mark.parametrize("extra", [dict(num_parts=3, parts_per_batch=3),
+                                       dict(sampler_kind="full")])
+    def test_whole_graph_batch_reuses_full_logits(self, monkeypatch, extra):
+        calls = self.count_eval_forwards(monkeypatch)
+        cfg = small_cfg(epochs=3, **extra)
+        result = run_training(cfg)
+        assert calls == [result.dataset.num_nodes] * cfg.epochs
+        from als_graph.harness import _batch_loss
+        from als_graph.model import forward
+
+        (batch,) = epoch_batches(cfg, result.dataset, result.partition, cfg.epochs - 1)
+        assert batch.subgraph is result.dataset.graph
+        logits, _ = forward(result.params, batch, result.features[batch.global_ids],
+                            train_mode=False)
+        breakdown, _, _ = _batch_loss(cfg, result.dataset, batch, logits, result.soft_labels,
+                                      result.refinement, result.report.per_epoch[-1].alpha_t)
+        assert result.report.per_epoch[-1].train_loss == breakdown.total
+
+    def test_partial_batches_get_one_forward_each(self, monkeypatch):
+        calls = self.count_eval_forwards(monkeypatch)
+        cfg = small_cfg(epochs=3)
+        result = run_training(cfg)
+        per_epoch = [sum(b.train_local.size > 0 for b in
+                         epoch_batches(cfg, result.dataset, result.partition, epoch))
+                     for epoch in range(cfg.epochs)]
+        assert min(per_epoch) > 1
+        assert len(calls) == sum(per_epoch) + cfg.epochs
 
 
 class TestLabelInput:

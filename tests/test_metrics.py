@@ -86,7 +86,7 @@ class TestBiasStats:
         assert not stats.std.any()
 
     def test_zero_batches_rejected(self, dataset):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one batch"):
             bias_stats([], dataset)
 
 
