@@ -162,6 +162,13 @@ class ExperimentConfig:
             raise ValueError("label_input is a separate baseline, incompatible with als refinement")
         if self.sampler_kind == "neighbor" and len(self.fanouts) != self.depth:
             raise ValueError("fanouts must list one count per model layer")
+        if any(f < 0 for f in self.fanouts):
+            raise ValueError(f"sampler.fanouts must be non-negative, got {self.fanouts}")
+        for key, value, least in (("sampler.seeds_per_batch", self.seeds_per_batch, 1),
+                                  ("sampler.num_roots", self.num_roots, 1),
+                                  ("sampler.walk_length", self.walk_length, 0)):
+            if value < least:
+                raise ValueError(f"{key} must be at least {least}, got {value}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.lr <= 0:

@@ -63,6 +63,17 @@ class Partition:
         return np.flatnonzero(np.isin(self.part_of, parts))
 
 
+def _gather_rows(g: CsrGraph, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The neighbor lists of ``rows``, concatenated in row order.
+
+    Returns (source, neighbor, position within its row) per entry.
+    """
+    starts = g.row_offsets[rows]
+    lengths = g.row_offsets[rows + 1] - starts
+    within = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return np.repeat(rows, lengths), g.col_indices[np.repeat(starts, lengths) + within], within
+
+
 def _bfs_distances(g: CsrGraph, sources: np.ndarray) -> np.ndarray:
     """Hop distance from the source set; unreached nodes get ``num_nodes``."""
     dist = np.full(g.num_nodes, g.num_nodes, dtype=np.int64)
@@ -70,13 +81,7 @@ def _bfs_distances(g: CsrGraph, sources: np.ndarray) -> np.ndarray:
     frontier = np.asarray(sources, dtype=np.int64)
     level = 0
     while frontier.size:
-        starts = g.row_offsets[frontier]
-        lengths = g.row_offsets[frontier + 1] - starts
-        total = int(lengths.sum())
-        if not total:
-            break
-        shift = np.repeat(starts - np.concatenate(([0], np.cumsum(lengths)[:-1])), lengths)
-        nbrs = g.col_indices[np.arange(total) + shift]
+        _, nbrs, _ = _gather_rows(g, frontier)
         level += 1
         fresh = np.unique(nbrs[dist[nbrs] > level])
         dist[fresh] = level
@@ -204,10 +209,16 @@ def neighbor_sample(dataset: Dataset, seed_nodes, fanouts,
                     seed: int, epoch: int = 0, batch_index: int = 0) -> Batch:
     """Layered neighbor expansion around a set of training seeds.
 
-    At hop ``l`` every required node samples at most ``fanouts[l]`` of its
-    neighbors without replacement. The batch stores one symmetrized local
-    adjacency per model layer (input side first) plus their union as
-    ``subgraph``; only the seeds carry a loss.
+    At hop ``l`` every required node keeps ``min(degree, fanouts[l])`` of its
+    neighbors, drawn uniformly without replacement: each candidate edge of
+    the hop gets one uniform random integer key, and a node keeps the edges
+    with the ``fanouts[l]`` smallest keys in its row. This one draw per hop
+    replaced a per-node ``Generator.choice`` loop, so a given seed yields
+    different batches than that loop did; the same inputs still give
+    byte-identical batches from run to run.
+
+    The batch stores one symmetrized local adjacency per model layer (input
+    side first) plus their union as ``subgraph``; only the seeds carry a loss.
     """
     given = np.asarray(seed_nodes, dtype=np.int64).ravel()
     if given.size == 0:
@@ -219,37 +230,39 @@ def neighbor_sample(dataset: Dataset, seed_nodes, fanouts,
         raise ValueError("seed node out of range")
     if not dataset.train_mask[seeds].all():
         raise ValueError("seed nodes must lie in the train mask")
+    fanouts = [int(f) for f in fanouts]
+    if any(f < 0 for f in fanouts):
+        raise ValueError(f"fanouts must be non-negative, got {fanouts}")
     g = dataset.graph
     gen = stream(seed, epoch, batch_index)
+    # sort codes are source * span + key, exact in int64; keys come from
+    # span >= 2**63 / num_nodes values, so ties within a row (broken by the
+    # sort, not at random) are vanishingly rare
+    span = np.iinfo(np.int64).max // g.num_nodes
 
+    in_batch = np.zeros(g.num_nodes, dtype=bool)
+    in_batch[seeds] = True
     required = seeds
     hop_edges: list[np.ndarray] = []
-    for fanout in (int(f) for f in fanouts):
-        pairs = []
-        if fanout > 0:
-            for u in required:
-                nbrs = g.neighbors(int(u))
-                if nbrs.size == 0:
-                    continue
-                chosen = nbrs if nbrs.size <= fanout else gen.choice(nbrs, size=fanout, replace=False)
-                pairs.append(np.stack([np.full(chosen.size, u, dtype=np.int64), chosen], axis=1))
-        edges = np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
-        hop_edges.append(edges)
-        if edges.size:
-            required = np.union1d(required, edges[:, 1])
+    for fanout in fanouts:
+        src, nbrs, within = _gather_rows(g, required)
+        # src is sorted, so sorting by (src, key) keeps every row where it
+        # was: the entry at sorted position i has rank within[i] in its row
+        kept = np.argsort(src * span + gen.integers(span, size=nbrs.size))[within < fanout]
+        hop_edges.append(np.stack([src[kept], nbrs[kept]], axis=1))
+        in_batch[nbrs[kept]] = True
+        required = np.flatnonzero(in_batch)
 
     nodes = required  # sorted unique
     local_of = np.full(dataset.num_nodes, -1, dtype=np.int64)
     local_of[nodes] = np.arange(nodes.size)
-    local_hops = [
-        build_csr(local_of[e] if e.size else e, nodes.size, symmetrize=True) for e in hop_edges
-    ]
-    all_edges = np.concatenate([e for e in hop_edges]) if hop_edges else np.empty((0, 2), np.int64)
-    union = build_csr(local_of[all_edges] if all_edges.size else all_edges, nodes.size, symmetrize=True)
+    local_hops = [build_csr(local_of[e], nodes.size, symmetrize=True) for e in hop_edges]
+    all_edges = np.concatenate(hop_edges) if hop_edges else np.empty((0, 2), np.int64)
+    union = build_csr(local_of[all_edges], nodes.size, symmetrize=True)
     # hop 0 feeds the last model layer, so reverse for input-side order
     layer_graphs = tuple(reversed(local_hops))
     train_local = np.searchsorted(nodes, seeds)
-    return Batch(union, nodes.copy(), train_local.astype(np.int64), layer_graphs)
+    return Batch(union, nodes, train_local.astype(np.int64), layer_graphs)
 
 
 def full_batch(dataset: Dataset) -> Batch:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,16 @@ class TestConfig:
     def test_fanouts_must_match_depth(self):
         with pytest.raises(ValueError, match="fanouts"):
             small_cfg(sampler_kind="neighbor", depth=3, fanouts=(2, 2))
+
+    @pytest.mark.parametrize("key, value", [
+        ("sampler.seeds_per_batch", "0"),
+        ("sampler.fanouts", "-1,5,5"),
+        ("sampler.num_roots", "0"),
+        ("sampler.walk_length", "-2"),
+    ])
+    def test_bad_sampler_size_names_the_key(self, key, value):
+        with pytest.raises(ValueError, match=re.escape(key)):
+            build_config({"sampler.kind": "neighbor", key: value})
 
     def test_flat_round_trip(self):
         cfg = small_cfg()

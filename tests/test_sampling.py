@@ -204,6 +204,37 @@ class TestNeighborSample:
         train = np.flatnonzero(dataset.train_mask)[:1]
         with pytest.raises(ValueError, match="duplicate"):
             neighbor_sample(dataset, [train[0], train[0]], [2], seed=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            neighbor_sample(dataset, train, [2, -1], seed=0)
+
+    def test_uniform_without_replacement(self, dataset):
+        fanout, draws = 3, 2000
+        train = np.flatnonzero(dataset.train_mask)
+        seed_node = int(train[np.argmax(dataset.graph.degrees[train])])
+        nbrs = dataset.graph.neighbors(seed_node)
+        d = nbrs.size
+        assert d > fanout  # oracle precondition
+        picks = np.zeros(dataset.num_nodes, dtype=np.int64)
+        for rng_seed in range(draws):
+            batch = neighbor_sample(dataset, [seed_node], [fanout], seed=rng_seed)
+            (hop0,) = batch.layer_graphs
+            chosen = batch.global_ids[hop0.neighbors(int(batch.train_local[0]))]
+            assert chosen.size == fanout  # distinct, since CSR rows are duplicate-free
+            assert np.isin(chosen, nbrs).all()
+            picks[chosen] += 1
+        # each neighbor is picked Binomial(draws, fanout/d) times; allow five
+        # standard deviations (a miss has probability below 1e-6 per neighbor)
+        p = fanout / d
+        assert np.all(np.abs(picks[nbrs] - draws * p) <= 5 * np.sqrt(draws * p * (1 - p)))
+
+    def test_union_is_max_of_symmetric_layer_graphs(self, dataset):
+        seeds = np.flatnonzero(dataset.train_mask)[:5]
+        for rng_seed in range(3):
+            batch = neighbor_sample(dataset, seeds, [3, 2, 2], seed=rng_seed)
+            layers = [g.to_dense() for g in batch.layer_graphs]
+            for dense in layers:
+                assert np.array_equal(dense, dense.T)
+            assert np.array_equal(batch.subgraph.to_dense(), np.maximum.reduce(layers))
 
 
 def test_full_batch_covers_graph(dataset):
