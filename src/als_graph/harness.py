@@ -166,9 +166,18 @@ class ExperimentConfig:
             raise ValueError(f"sampler.fanouts must be non-negative, got {self.fanouts}")
         for key, value, least in (("sampler.seeds_per_batch", self.seeds_per_batch, 1),
                                   ("sampler.num_roots", self.num_roots, 1),
-                                  ("sampler.walk_length", self.walk_length, 0)):
+                                  ("sampler.walk_length", self.walk_length, 0),
+                                  ("sampler.num_parts", self.num_parts, 1),
+                                  ("sampler.parts_per_batch", self.parts_per_batch, 1),
+                                  ("sampler.batches_per_epoch", self.batches_per_epoch, 0),
+                                  ("model.sign_hops", self.sign_hops, 0)):
             if value < least:
                 raise ValueError(f"{key} must be at least {least}, got {value}")
+        if self.parts_per_batch > self.num_parts:
+            raise ValueError(f"sampler.parts_per_batch must be at most sampler.num_parts "
+                             f"({self.num_parts}), got {self.parts_per_batch}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"model.dropout must lie in [0, 1), got {self.dropout}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.lr <= 0:
@@ -389,18 +398,25 @@ def _batch_loss(cfg: ExperimentConfig, dataset: Dataset, batch: Batch, logits: n
                           mode="als", stop_gradient_yhat=cfg.stop_gradient)
 
 
+def _is_whole_graph(batch: Batch, dataset: Dataset) -> bool:
+    """True when the batch's rows line up with the whole-graph forward.
+
+    Only the identity node order or ``full_batch`` share the graph object.
+    """
+    return batch.subgraph is dataset.graph and batch.layer_graphs is None
+
+
 def _evaluate_epoch(cfg: ExperimentConfig, dataset: Dataset, feats: np.ndarray,
-                    params: ModelParams, refinement, yk, batches, alpha: float) -> dict[str, float]:
-    full_logits, _ = forward(params, full_batch(dataset), feats, train_mode=False)
+                    params: ModelParams, refinement, yk, batches, alpha: float):
+    """Epoch metrics plus the whole-graph eval forward's (logits, cache)."""
+    full_logits, full_cache = forward(params, full_batch(dataset), feats, train_mode=False)
     totals: list[float] = []
     correct = 0
     seen = 0
     for batch in batches:
         if batch.train_local.size == 0:
             continue
-        if batch.subgraph is dataset.graph and batch.layer_graphs is None:
-            # only the identity node order or full_batch share the graph
-            # object, so the rows line up with the whole-graph logits
+        if _is_whole_graph(batch, dataset):
             logits = full_logits
         else:
             logits, _ = forward(params, batch, feats[batch.global_ids], train_mode=False)
@@ -421,7 +437,7 @@ def _evaluate_epoch(cfg: ExperimentConfig, dataset: Dataset, feats: np.ndarray,
         "test_loss": float(test_loss.total),
         "test_acc": test_acc,
         "mean_max_prob": confidence_stats(probs[train_ids])["mean_max_prob"],
-    }
+    }, (full_logits, full_cache)
 
 
 @dataclass
@@ -476,15 +492,22 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
     schedule = cfg.pacing_schedule()
     records: list[EpochRecord] = []
     batches: list[Batch] = []
+    # The last eval forward's (logits, cache) until the next Adam step. With
+    # dropout 0 train mode computes the same, so a whole-graph batch uses it.
+    reusable = None
     for epoch in range(cfg.epochs):
         alpha = float(alpha_at(schedule, epoch))
         batches = epoch_batches(cfg, dataset, partition, epoch)
         for j, batch in enumerate(batches):
             if batch.train_local.size == 0:
                 continue
-            dropout_seed = rng_streams.child_seed(cfg.seed, rng_streams.DROPOUT, epoch, j)
-            logits, cache = forward(params, batch, feats[batch.global_ids],
-                                    train_mode=True, seed=dropout_seed)
+            if reusable is not None and _is_whole_graph(batch, dataset):
+                logits, cache = reusable
+            else:
+                dropout_seed = rng_streams.child_seed(cfg.seed, rng_streams.DROPOUT, epoch, j)
+                logits, cache = forward(params, batch, feats[batch.global_ids],
+                                        train_mode=True, seed=dropout_seed)
+            reusable = None
             breakdown, dtrain, dw = _batch_loss(cfg, dataset, batch, logits, yk, refinement, alpha)
             if not np.isfinite(breakdown.total):
                 raise RuntimeError(f"training loss diverged (non-finite) at epoch {epoch}")
@@ -503,7 +526,9 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
             params.biases[:] = new_values[depth : 2 * depth]
             if refinement is not None:
                 refinement.w = new_values[-1]
-        metrics = _evaluate_epoch(cfg, dataset, feats, params, refinement, yk, batches, alpha)
+        metrics, full_forward = _evaluate_epoch(cfg, dataset, feats, params, refinement, yk,
+                                                batches, alpha)
+        reusable = full_forward if params.dropout == 0 else None
         records.append(EpochRecord(epoch=epoch, alpha_t=alpha, **metrics))
 
     stats = bias_stats([b for b in batches if b.train_local.size], dataset)

@@ -1,10 +1,14 @@
 """Minimal trainable classifiers with hand-derived backpropagation.
 
-Two architectures share one code path: ``gcn`` aggregates with the
-symmetrically normalized self-loop operator before every affine layer, and
-``mlp`` skips aggregation entirely. The optimizer is standard bias-corrected
-adaptive moments over a flat list of parameter arrays, and the inception-style
-precompute stacks powers of the normalized adjacency applied to the features.
+Two architectures share one code path: ``gcn`` applies the symmetrically
+normalized self-loop operator A in every affine layer, and ``mlp`` skips
+aggregation entirely. A GCN layer applies A on the narrower side of its
+weight matrix: a layer that narrows (``fan_out < fan_in``) computes
+``A(HW) + b``, every other layer ``(AH)W + b``, so each operator product,
+forward and backward, is ``min(fan_in, fan_out)`` columns wide. The optimizer
+is standard bias-corrected adaptive moments over a flat list of parameter
+arrays, and the inception-style precompute stacks powers of the normalized
+adjacency applied to the features.
 """
 from __future__ import annotations
 
@@ -89,13 +93,22 @@ def _layer_graph(params: ModelParams, batch: Batch, layer: int) -> CsrGraph | No
     return batch.subgraph
 
 
+def _projects_first(g: CsrGraph | None, w: np.ndarray) -> bool:
+    """True when the layer computes A(HW): it aggregates and narrows."""
+    return g is not None and w.shape[1] < w.shape[0]
+
+
 def forward(params: ModelParams, batch: Batch, features: np.ndarray,
             train_mode: bool, seed: int = 0) -> tuple[np.ndarray, ForwardCache]:
     """Logits for every batch node plus the cache needed by ``backward``.
 
     ``features`` must hold one row per batch node, aligned with
     ``batch.global_ids``. Dropout applies to hidden activations only and only
-    in train mode, with inverted scaling baked into the stored masks.
+    in train mode, with inverted scaling baked into the stored masks; with
+    dropout 0 train and eval mode are the same computation.
+
+    A GCN layer that narrows computes ``A(HW) + b`` and caches its input
+    ``H``; every other layer computes ``(AH)W + b`` and caches ``AH``.
     """
     h = np.asarray(features, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != batch.num_nodes:
@@ -107,10 +120,14 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
     cache = ForwardCache(params, [], [], [], [])
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
         g = _layer_graph(params, batch, layer)
-        agg = h if g is None else normalized_spmm(g, h, "sym_norm_self_loops")
-        z = agg @ w + b
+        if _projects_first(g, w):
+            x = h
+            z = normalized_spmm(g, h @ w, "sym_norm_self_loops") + b
+        else:
+            x = h if g is None else normalized_spmm(g, h, "sym_norm_self_loops")
+            z = x @ w + b
         cache.graphs.append(g)
-        cache.layer_inputs.append(agg)
+        cache.layer_inputs.append(x)
         cache.preactivations.append(z)
         if layer < params.depth - 1:
             h = np.maximum(z, 0.0)
@@ -129,8 +146,12 @@ def backward(params: ModelParams, cache: ForwardCache,
              dlogits: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Exact reverse pass; returns (weight grads, bias grads).
 
-    The aggregation operator is symmetric, so its transpose application
-    reuses the forward kernel.
+    The aggregation operator A is symmetric, so its transpose application
+    reuses the forward kernel on the same side as the forward: a layer that
+    computed ``A(HW) + b`` forms ``adz = A dz`` once and takes
+    ``dW = H^T adz`` and ``dH = adz W^T``; a ``(AH)W + b`` layer takes
+    ``dW = (AH)^T dz`` and ``dH = A(dz W^T)``. The first layer's ``dH`` is
+    never formed.
     """
     if cache.params is not params:
         raise ValueError("stale cache: it was produced by a different forward call")
@@ -148,12 +169,18 @@ def backward(params: ModelParams, cache: ForwardCache,
             dz = dh * (cache.preactivations[layer] > 0)
         else:
             dz = dh
-        wgrads[layer] = cache.layer_inputs[layer].T @ dz
         bgrads[layer] = dz.sum(axis=0)
-        if layer:
-            dagg = dz @ params.weights[layer].T
-            g = cache.graphs[layer]
-            dh = dagg if g is None else normalized_spmm(g, dagg, "sym_norm_self_loops")
+        w, g = params.weights[layer], cache.graphs[layer]
+        if _projects_first(g, w):
+            adz = normalized_spmm(g, dz, "sym_norm_self_loops")
+            wgrads[layer] = cache.layer_inputs[layer].T @ adz
+            if layer:
+                dh = adz @ w.T
+        else:
+            wgrads[layer] = cache.layer_inputs[layer].T @ dz
+            if layer:
+                dagg = dz @ w.T
+                dh = dagg if g is None else normalized_spmm(g, dagg, "sym_norm_self_loops")
     return wgrads, bgrads
 
 

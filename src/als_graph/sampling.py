@@ -152,15 +152,9 @@ def partition_clusters(g: CsrGraph, num_parts: int, seed: int) -> Partition:
     return Partition(part, num_parts)
 
 
-def _make_batch(dataset: Dataset, nodes: np.ndarray,
-                layer_graphs: tuple[CsrGraph, ...] | None = None,
-                subgraph: CsrGraph | None = None,
-                train_local: np.ndarray | None = None) -> Batch:
-    if subgraph is None:
-        subgraph, nodes = induced_subgraph(dataset.graph, nodes)
-    if train_local is None:
-        train_local = np.flatnonzero(dataset.train_mask[nodes])
-    return Batch(subgraph, nodes, train_local, layer_graphs)
+def _make_batch(dataset: Dataset, nodes: np.ndarray) -> Batch:
+    subgraph, nodes = induced_subgraph(dataset.graph, nodes)
+    return Batch(subgraph, nodes, np.flatnonzero(dataset.train_mask[nodes]))
 
 
 def cluster_batches(dataset: Dataset, partition: Partition, parts_per_batch: int,

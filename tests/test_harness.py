@@ -85,10 +85,22 @@ class TestConfig:
         ("sampler.fanouts", "-1,5,5"),
         ("sampler.num_roots", "0"),
         ("sampler.walk_length", "-2"),
+        ("sampler.num_parts", "0"),
+        ("sampler.parts_per_batch", "9"),  # sampler.num_parts defaults to 8
+        ("sampler.batches_per_epoch", "-1"),
     ])
     def test_bad_sampler_size_names_the_key(self, key, value):
         with pytest.raises(ValueError, match=re.escape(key)):
             build_config({"sampler.kind": "neighbor", key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("model.sign_hops", "-1"),
+        ("model.dropout", "1.0"),
+        ("model.dropout", "-0.1"),
+    ])
+    def test_bad_model_setting_names_the_key(self, key, value):
+        with pytest.raises(ValueError, match=re.escape(key)):
+            build_config({key: value})
 
     def test_flat_round_trip(self):
         cfg = small_cfg()
@@ -182,24 +194,32 @@ class TestRunExperiment:
 
 class TestEvaluationForwards:
     @staticmethod
-    def count_eval_forwards(monkeypatch) -> list[int]:
-        calls: list[int] = []
+    def count_forwards(monkeypatch) -> dict[bool, list[int]]:
+        """Batch sizes of the train-mode (True) and eval-mode (False) forwards."""
+        calls: dict[bool, list[int]] = {True: [], False: []}
         real = harness.forward
 
         def counting(params, batch, features, train_mode, seed=0):
-            if not train_mode:
-                calls.append(batch.num_nodes)
+            calls[train_mode].append(batch.num_nodes)
             return real(params, batch, features, train_mode, seed)
         monkeypatch.setattr(harness, "forward", counting)
         return calls
 
-    @pytest.mark.parametrize("extra", [dict(num_parts=3, parts_per_batch=3),
-                                       dict(sampler_kind="full")])
-    def test_whole_graph_batch_reuses_full_logits(self, monkeypatch, extra):
-        calls = self.count_eval_forwards(monkeypatch)
-        cfg = small_cfg(epochs=3, **extra)
+    @pytest.mark.parametrize("extra, dropout", [
+        pytest.param(dict(num_parts=3, parts_per_batch=3), 0.5, id="extra0"),
+        pytest.param(dict(sampler_kind="full"), 0.5, id="extra1"),
+        pytest.param(dict(num_parts=3, parts_per_batch=3), 0.0, id="extra0-no_dropout"),
+        pytest.param(dict(sampler_kind="full"), 0.0, id="extra1-no_dropout"),
+    ])
+    def test_whole_graph_batch_reuses_full_logits(self, monkeypatch, extra, dropout):
+        calls = self.count_forwards(monkeypatch)
+        cfg = small_cfg(epochs=3, dropout=dropout, **extra)
         result = run_training(cfg)
-        assert calls == [result.dataset.num_nodes] * cfg.epochs
+        n = result.dataset.num_nodes
+        assert calls[False] == [n] * cfg.epochs
+        # without dropout each epoch after the first trains on the previous
+        # epoch's evaluation forward
+        assert calls[True] == [n] * (1 if dropout == 0 else cfg.epochs)
         from als_graph.harness import _batch_loss
         from als_graph.model import forward
 
@@ -211,15 +231,31 @@ class TestEvaluationForwards:
                                       result.refinement, result.report.per_epoch[-1].alpha_t)
         assert result.report.per_epoch[-1].train_loss == breakdown.total
 
-    def test_partial_batches_get_one_forward_each(self, monkeypatch):
-        calls = self.count_eval_forwards(monkeypatch)
-        cfg = small_cfg(epochs=3)
+    def test_reuse_ends_at_the_first_adam_step(self, monkeypatch):
+        calls = self.count_forwards(monkeypatch)
+        # walks long enough to visit every node: two whole-graph batches an epoch
+        cfg = small_cfg(sampler_kind="random_walk", num_roots=60, walk_length=10,
+                        batches_per_epoch=2, dropout=0.0, epochs=3)
         result = run_training(cfg)
-        per_epoch = [sum(b.train_local.size > 0 for b in
-                         epoch_batches(cfg, result.dataset, result.partition, epoch))
-                     for epoch in range(cfg.epochs)]
-        assert min(per_epoch) > 1
-        assert len(calls) == sum(per_epoch) + cfg.epochs
+        for epoch in range(cfg.epochs):
+            batches = epoch_batches(cfg, result.dataset, None, epoch)
+            assert [b.subgraph is result.dataset.graph for b in batches] == [True, True]
+        # only each later epoch's first batch reuses the evaluation forward
+        assert len(calls[True]) == 2 * cfg.epochs - (cfg.epochs - 1)
+
+    def test_partial_batches_get_one_forward_each(self, monkeypatch):
+        calls = self.count_forwards(monkeypatch)
+        for dropout in (0.5, 0.0):
+            calls[True].clear()
+            calls[False].clear()
+            cfg = small_cfg(epochs=3, dropout=dropout)
+            result = run_training(cfg)
+            per_epoch = [sum(b.train_local.size > 0 for b in
+                             epoch_batches(cfg, result.dataset, result.partition, epoch))
+                         for epoch in range(cfg.epochs)]
+            assert min(per_epoch) > 1
+            assert len(calls[True]) == sum(per_epoch)
+            assert len(calls[False]) == sum(per_epoch) + cfg.epochs
 
 
 class TestLabelInput:

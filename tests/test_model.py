@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from als_graph import model
 from als_graph.data import SbmParams, generate_sbm, one_hot
 from als_graph.graph import build_csr
 from als_graph.model import (
@@ -62,6 +63,20 @@ class TestForward:
         assert a.tobytes() == b.tobytes()
         assert not np.array_equal(a, c)
 
+    def test_train_mode_without_dropout_equals_eval_mode(self, rng):
+        dense, edges = random_undirected(rng, 7, 0.4)
+        batch = make_batch(7, edges)
+        feats = rng.standard_normal((7, 4))
+        params = init_model("gcn", [4, 9, 6, 3], dropout=0.0, seed=2)
+        a, train_cache = forward(params, batch, feats, train_mode=True, seed=5)
+        b, eval_cache = forward(params, batch, feats, train_mode=False)
+        assert a.tobytes() == b.tobytes()
+        assert train_cache.graphs == eval_cache.graphs
+        assert train_cache.dropout_masks == eval_cache.dropout_masks == [None] * 3
+        for name in ("layer_inputs", "preactivations"):
+            for x, y in zip(getattr(train_cache, name), getattr(eval_cache, name)):
+                assert x.tobytes() == y.tobytes()
+
     def test_dropout_off_outside_train_mode(self, rng):
         batch = make_batch(4, [(0, 1)])
         feats = rng.standard_normal((4, 3))
@@ -116,25 +131,55 @@ class TestBackward:
         for combined, x, y in zip(wsum + bsum, wa + ba, wb + bb):
             assert np.abs(combined - (x + y)).max() < 1e-12
 
-    @pytest.mark.parametrize("arch", ["gcn", "mlp"])
-    def test_full_pipeline_matches_finite_differences(self, arch):
+    # [6, 3, 7, 2] narrows then widens, so a projected-first layer's adz W^T
+    # feeds a lower ReLU layer; with dropout the masks are fixed by the seed
+    @pytest.mark.parametrize("arch, dims, dropout", [
+        pytest.param(arch, dims, dropout, id=arch + tag)
+        for dims, dropout, tag in (([4, 5, 3], 0.0, ""),
+                                   ([6, 3, 7, 2], 0.0, "-narrow_widen"),
+                                   ([6, 3, 7, 2], 0.5, "-narrow_widen-dropout"))
+        for arch in ("gcn", "mlp")
+    ])
+    def test_full_pipeline_matches_finite_differences(self, arch, dims, dropout):
         gen = np.random.default_rng(0)
         dense, edges = random_undirected(gen, 9, 0.4)
         batch = make_batch(9, edges)
-        feats = gen.standard_normal((9, 4))
-        labels = gen.integers(3, size=9)
-        hard = one_hot(labels, 3)
-        params = init_model(arch, [4, 5, 3], dropout=0.0, seed=3)
+        feats = gen.standard_normal((9, dims[0]))
+        labels = gen.integers(dims[-1], size=9)
+        hard = one_hot(labels, dims[-1])
+        params = init_model(arch, dims, dropout=dropout, seed=3)
+        # nonzero biases keep rows whose ReLU inputs all died off the kink
+        params.biases[:] = [0.1 * gen.standard_normal(b.shape) for b in params.biases]
 
         def total() -> float:
-            logits, _ = forward(params, batch, feats, train_mode=False)
+            logits, _ = forward(params, batch, feats, train_mode=True, seed=11)
             return loss_and_grads(logits, hard)[0].total
 
-        logits, cache = forward(params, batch, feats, train_mode=False)
+        logits, cache = forward(params, batch, feats, train_mode=True, seed=11)
         _, dlogits, _ = loss_and_grads(logits, hard)
         wgrads, bgrads = backward(params, cache, dlogits)
         for analytic, array in zip(wgrads + bgrads, params.weights + params.biases):
             assert rel_err(analytic, central_diff(total, array)) < 1e-5
+
+    def test_operator_products_take_the_narrower_side(self, rng, monkeypatch):
+        widths: list[int] = []
+        real = model.normalized_spmm
+
+        def recording(g, m, mode):
+            widths.append(m.shape[1])
+            return real(g, m, mode)
+        monkeypatch.setattr(model, "normalized_spmm", recording)
+        dense, edges = random_undirected(rng, 8, 0.4)
+        dims = [3, 5, 7, 2]  # widens, widens, narrows
+        params = init_model("gcn", dims, dropout=0.0, seed=0)
+        logits, cache = forward(params, make_batch(8, edges), rng.standard_normal((8, 3)),
+                                train_mode=False)
+        narrower = [min(a, b) for a, b in zip(dims[:-1], dims[1:])]
+        assert widths == narrower
+        widths.clear()
+        backward(params, cache, rng.standard_normal(logits.shape))
+        # top layer first; the first layer needs no input gradient
+        assert widths == narrower[:0:-1]
 
     def test_layered_batch_uses_per_layer_graphs(self, rng):
         g_all = build_csr([(0, 1), (1, 2)], 3, symmetrize=True)
