@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .data import one_hot, read_edge_list, write_matrix_binary
+from .data import one_hot, read_edge_list, read_labels, read_matrix_binary, write_matrix_binary
 from .graph import build_csr
 from .metrics import bias_stats
 from .propagation import PropagationConfig, propagate
@@ -23,10 +23,9 @@ from .reporting import write_report
 from .smoothing import RefinementMatrix
 
 
-def _load_config(args) -> harness.ExperimentConfig:
+def _load_mapping(args) -> dict[str, str]:
     mapping = harness.load_config_file(args.config) if args.config else {}
-    mapping = harness.apply_overrides(mapping, getattr(args, "overrides", []))
-    return harness.build_config(mapping)
+    return harness.apply_overrides(mapping, args.overrides)
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -36,46 +35,24 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_propagate(args) -> int:
-    if args.config:
-        cfg = harness.build_config(harness.load_config_file(args.config))
-        if args.beta is None:
-            args.beta = cfg.beta
-        if args.k is None:
-            args.k = cfg.k_steps
-    args.beta = 0.1 if args.beta is None else args.beta
-    args.k = 2 if args.k is None else args.k
+    cfg = (harness.build_config(harness.load_config_file(args.config)) if args.config
+           else harness.ExperimentConfig())
+    beta = cfg.beta if args.beta is None else args.beta
+    k = cfg.k_steps if args.k is None else args.k
     edges, inferred = read_edge_list(args.graph)
-    labels: dict[int, int] = {}
-    num_classes = 0
-    with open(args.labels, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise ValueError(f"{args.labels}:{lineno}: expected 'node_id,label'")
-            node, label = int(fields[0]), int(fields[1])
-            if node < 0 or label < 0:
-                raise ValueError(f"{args.labels}:{lineno}: negative id")
-            labels[node] = label
-            num_classes = max(num_classes, label + 1)
-            inferred = max(inferred, node + 1)
-    if not labels:
-        raise ValueError(f"{args.labels}: no labels found")
-    num_nodes = args.num_nodes or inferred
+    nodes, classes = read_labels(args.labels, args.num_nodes or None)
+    num_nodes = args.num_nodes or max(inferred, int(nodes.max()) + 1)
+    num_classes = int(classes.max()) + 1
     graph = build_csr(edges, num_nodes, symmetrize=True)
     y0 = np.zeros((num_nodes, num_classes))
-    nodes = np.fromiter(labels.keys(), dtype=np.int64)
-    y0[nodes] = one_hot([labels[int(n)] for n in nodes], num_classes)
-    cfg = PropagationConfig(args.beta, args.k, args.self_loops)
-    write_matrix_binary(propagate(graph, y0, cfg), args.out)
+    y0[nodes] = one_hot(classes, num_classes)
+    write_matrix_binary(propagate(graph, y0, PropagationConfig(beta, k, args.self_loops)), args.out)
     print(f"wrote propagated labels ({num_nodes} x {num_classes}) to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
+    cfg = harness.build_config(_load_mapping(args))
     if cfg.repeats > 1:
         report, _ = harness.run_repeated(cfg)
         result = None
@@ -97,14 +74,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_analyze_bias(args) -> int:
-    cfg = _load_config(args)
+    cfg = harness.build_config(_load_mapping(args))
     dataset = harness.build_dataset(cfg)
-    partition = None
-    if cfg.sampler_kind == "cluster":
-        from . import rng as rng_streams
-        from .sampling import partition_clusters
-        partition = partition_clusters(dataset.graph, cfg.num_parts,
-                                       rng_streams.child_seed(cfg.seed, rng_streams.PARTITION))
+    partition = harness.build_partition(cfg, dataset)
     batches = []
     for epoch in range(args.epochs):
         batches.extend(b for b in harness.epoch_batches(cfg, dataset, partition, epoch)
@@ -119,7 +91,7 @@ def cmd_analyze_bias(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _load_config(args)
+    cfg = harness.build_config(_load_mapping(args))
     results = harness.run_ablations(cfg, args.out_dir)
     for name, report in results.items():
         print(f"{name}: {report.final_test_acc_mean:.4f} +/- {report.final_test_acc_std:.4f}")
@@ -128,11 +100,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    mapping = harness.load_config_file(args.config) if args.config else {}
-    mapping = harness.apply_overrides(mapping, args.overrides)
+    mapping = _load_mapping(args)
     grid = harness.parse_sweep_grid(mapping)
-    cfg = harness.build_config(mapping)
-    rows = harness.run_sweep(cfg, grid, args.out_dir)
+    rows = harness.run_sweep(harness.build_config(mapping), grid, args.out_dir)
     print(f"swept {len(rows)} points; wrote sweep_summary.csv to {args.out_dir}")
     return 0
 
@@ -144,7 +114,6 @@ def cmd_export_relevance(args) -> int:
         if refinement is None:
             raise ValueError(f"checkpoint {path} holds no relevance matrix")
     else:
-        from .data import read_matrix_binary
         refinement = RefinementMatrix(read_matrix_binary(path))
     harness.export_relevance(refinement, args.out)
     print(f"wrote row-wise softmax of the relevance matrix to {args.out}")
@@ -160,8 +129,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="edge list file")
     p.add_argument("--labels", required=True, help="observed labels file")
     p.add_argument("--out", required=True, help="output binary matrix")
-    p.add_argument("--beta", type=float, default=None, help="residual strength (default 0.1)")
-    p.add_argument("--k", type=int, default=None, help="propagation steps (default 2)")
+    p.add_argument("--beta", type=float, default=None,
+                   help=f"residual strength (default {harness.ExperimentConfig.beta})")
+    p.add_argument("--k", type=int, default=None,
+                   help=f"propagation steps (default {harness.ExperimentConfig.k_steps})")
     p.add_argument("--config", help="optional config supplying beta/k defaults")
     p.add_argument("--num-nodes", type=int, default=0)
     p.add_argument("--self-loops", action="store_true")

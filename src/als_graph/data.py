@@ -29,6 +29,7 @@ __all__ = [
     "save_dataset",
     "one_hot",
     "read_edge_list",
+    "read_labels",
     "write_matrix_binary",
     "read_matrix_binary",
     "write_features",
@@ -198,7 +199,34 @@ def _read_id_value_lines(path, what: str):
             fields = line.split(",")
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'node_id,{what}', got {raw.strip()!r}")
-            yield lineno, _parse_int(fields[0], path, lineno, "node id"), fields[1].strip()
+            node = _parse_int(fields[0], path, lineno, "node id")
+            if node < 0:
+                raise ValueError(f"{path}:{lineno}: negative node id")
+            yield lineno, node, fields[1].strip()
+
+
+def read_labels(path, num_nodes: int | None = None,
+                num_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Parse ``node_id,label`` lines into (node ids, class ids), in file order.
+
+    Every node id must lie below ``num_nodes`` and every class id below
+    ``num_classes`` when they are given; a node may be listed only once.
+    """
+    nodes: dict[int, int] = {}
+    for lineno, node, value in _read_id_value_lines(path, "label"):
+        if num_nodes is not None and node >= num_nodes:
+            raise ValueError(f"{path}:{lineno}: node id {node} out of range for {num_nodes} nodes")
+        if node in nodes:
+            raise ValueError(f"{path}:{lineno}: node {node} listed more than once")
+        label = _parse_int(value, path, lineno, "label")
+        if label < 0:
+            raise ValueError(f"{path}:{lineno}: negative class id")
+        if num_classes is not None and label >= num_classes:
+            raise ValueError(f"{path}:{lineno}: class id {label} >= {num_classes}")
+        nodes[node] = label
+    if not nodes:
+        raise ValueError(f"{path}: no labels found")
+    return np.fromiter(nodes, dtype=np.int64), np.fromiter(nodes.values(), dtype=np.int64)
 
 
 def load_dataset(edge_path, feature_path, label_path, split_path, *,
@@ -217,20 +245,11 @@ def load_dataset(edge_path, feature_path, label_path, split_path, *,
         raise ValueError(f"{edge_path}: node id {edge_n - 1} out of range for {n} feature rows")
     graph = build_csr(edges, n, symmetrize=symmetrize)
 
+    nodes, classes = read_labels(label_path, n, num_classes)
     labels = np.full(n, -1, dtype=np.int64)
-    for lineno, node, value in _read_id_value_lines(label_path, "label"):
-        if node >= n:
-            raise ValueError(f"{label_path}:{lineno}: node id {node} out of range for {n} nodes")
-        label = _parse_int(value, label_path, lineno, "label")
-        if label < 0:
-            raise ValueError(f"{label_path}:{lineno}: negative class id")
-        if num_classes is not None and label >= num_classes:
-            raise ValueError(f"{label_path}:{lineno}: class id {label} >= {num_classes}")
-        labels[node] = label
+    labels[nodes] = classes
     if num_classes is None:
-        if labels.max() < 0:
-            raise ValueError(f"{label_path}: no labels found")
-        num_classes = int(labels.max()) + 1
+        num_classes = int(classes.max()) + 1
 
     masks = {"train": np.zeros(n, dtype=bool), "val": np.zeros(n, dtype=bool), "test": np.zeros(n, dtype=bool)}
     assigned = np.zeros(n, dtype=bool)

@@ -68,6 +68,7 @@ __all__ = [
     "config_to_flat",
     "parse_sweep_grid",
     "build_dataset",
+    "build_partition",
     "epoch_batches",
     "run_training",
     "run_experiment",
@@ -79,65 +80,62 @@ __all__ = [
     "run_sweep",
     "save_checkpoint",
     "load_checkpoint",
-    "DEFAULT_CONFIG_KEYS",
 ]
+
+
+def _key(name: str, default):
+    """A config field whose ``section.key`` name lives in its metadata."""
+    return dataclasses.field(default=default, metadata={"key": name})
 
 
 @dataclass
 class ExperimentConfig:
-    # dataset
-    data_source: str = "sbm"  # sbm | files
-    data_edges: str = ""
-    data_features: str = ""
-    data_labels: str = ""
-    data_splits: str = ""
-    sbm_blocks: int = 8
-    sbm_nodes_per_block: int = 250
-    sbm_p_in: float = 0.05
-    sbm_p_out: float = 0.002
-    sbm_feature_dim: int = 16
-    sbm_feature_noise: float = 2.0
-    sbm_train_fraction: float = 0.1
-    sbm_val_fraction: float = 0.2
-    sbm_seed: int = 0
-    # sampler
-    sampler_kind: str = "cluster"  # cluster | random_walk | neighbor | full
-    num_parts: int = 8
-    parts_per_batch: int = 2
-    num_roots: int = 50
-    walk_length: int = 2
-    batches_per_epoch: int = 0  # 0 = one pass over the train set
-    fanouts: tuple = (10, 10, 10)
-    seeds_per_batch: int = 64
-    # model
-    arch: str = "gcn"  # gcn | mlp
-    depth: int = 3
-    hidden: int = 64
-    dropout: float = 0.5
-    sign_hops: int = 0
-    # loss + pacing
-    loss_mode: str = "als"  # plain | ls | als
-    gamma: float = 1e-3
-    stop_gradient: bool = False
-    pacing_kind: str = "linear"  # constant | linear | exponential
-    alpha_const: float = 0.1
-    pacing_r: float = 1e-2
-    pacing_b: float = 0.1
-    alpha_max: float = 0.1
-    # propagation
-    beta: float = 0.1
-    k_steps: int = 2
-    self_loops: bool = False
-    # training
-    epochs: int = 100
-    lr: float = 0.01
-    seed: int = 0
-    repeats: int = 1
-    # ablations / baselines
-    no_propagation: bool = False
-    no_refinement: bool = False
-    no_pacing: bool = False
-    label_input: bool = False
+    data_source: str = _key("data.source", "sbm")  # sbm | files
+    data_edges: str = _key("data.edges", "")
+    data_features: str = _key("data.features", "")
+    data_labels: str = _key("data.labels", "")
+    data_splits: str = _key("data.splits", "")
+    sbm_blocks: int = _key("sbm.blocks", 8)
+    sbm_nodes_per_block: int = _key("sbm.nodes_per_block", 250)
+    sbm_p_in: float = _key("sbm.p_in", 0.05)
+    sbm_p_out: float = _key("sbm.p_out", 0.002)
+    sbm_feature_dim: int = _key("sbm.feature_dim", 16)
+    sbm_feature_noise: float = _key("sbm.feature_noise", 2.0)
+    sbm_train_fraction: float = _key("sbm.train_fraction", 0.1)
+    sbm_val_fraction: float = _key("sbm.val_fraction", 0.2)
+    sbm_seed: int = _key("sbm.seed", 0)
+    sampler_kind: str = _key("sampler.kind", "cluster")  # cluster | random_walk | neighbor | full
+    num_parts: int = _key("sampler.num_parts", 8)
+    parts_per_batch: int = _key("sampler.parts_per_batch", 2)
+    num_roots: int = _key("sampler.num_roots", 50)
+    walk_length: int = _key("sampler.walk_length", 2)
+    batches_per_epoch: int = _key("sampler.batches_per_epoch", 0)  # 0 = one pass over the train set
+    fanouts: tuple = _key("sampler.fanouts", (10, 10, 10))
+    seeds_per_batch: int = _key("sampler.seeds_per_batch", 64)
+    arch: str = _key("model.arch", "gcn")  # gcn | mlp
+    depth: int = _key("model.depth", 3)
+    hidden: int = _key("model.hidden", 64)
+    dropout: float = _key("model.dropout", 0.5)
+    sign_hops: int = _key("model.sign_hops", 0)
+    loss_mode: str = _key("loss.mode", "als")  # plain | ls | als
+    gamma: float = _key("loss.gamma", 1e-3)
+    stop_gradient: bool = _key("loss.stop_gradient", False)
+    pacing_kind: str = _key("pacing.kind", "linear")  # constant | linear | exponential
+    alpha_const: float = _key("pacing.alpha_const", 0.1)
+    pacing_r: float = _key("pacing.r", 1e-2)
+    pacing_b: float = _key("pacing.b", 0.1)
+    alpha_max: float = _key("pacing.alpha_max", 0.1)
+    beta: float = _key("propagation.beta", 0.1)
+    k_steps: int = _key("propagation.k", 2)
+    self_loops: bool = _key("propagation.self_loops", False)
+    epochs: int = _key("train.epochs", 100)
+    lr: float = _key("train.lr", 0.01)
+    seed: int = _key("train.seed", 0)
+    repeats: int = _key("train.repeats", 1)
+    no_propagation: bool = _key("ablate.no_propagation", False)
+    no_refinement: bool = _key("ablate.no_refinement", False)
+    no_pacing: bool = _key("ablate.no_pacing", False)
+    label_input: bool = _key("label_input", False)
 
     def validate(self) -> "ExperimentConfig":
         checks = {
@@ -170,7 +168,10 @@ class ExperimentConfig:
                                   ("sampler.num_parts", self.num_parts, 1),
                                   ("sampler.parts_per_batch", self.parts_per_batch, 1),
                                   ("sampler.batches_per_epoch", self.batches_per_epoch, 0),
-                                  ("model.sign_hops", self.sign_hops, 0)):
+                                  ("model.sign_hops", self.sign_hops, 0),
+                                  ("loss.gamma", self.gamma, 0),
+                                  ("train.seed", self.seed, 0),
+                                  ("sbm.seed", self.sbm_seed, 0)):
             if value < least:
                 raise ValueError(f"{key} must be at least {least}, got {value}")
         if self.parts_per_batch > self.num_parts:
@@ -215,56 +216,13 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
+# config key -> (field name, text parser); the parser follows the field's
+# annotation, which postponed evaluation leaves as a string
+_PARSERS = {"bool": _parse_bool, "tuple": _parse_ints, "int": int, "float": float, "str": str}
 _FIELDS: dict[str, tuple[str, object]] = {
-    "data.source": ("data_source", str),
-    "data.edges": ("data_edges", str),
-    "data.features": ("data_features", str),
-    "data.labels": ("data_labels", str),
-    "data.splits": ("data_splits", str),
-    "sbm.blocks": ("sbm_blocks", int),
-    "sbm.nodes_per_block": ("sbm_nodes_per_block", int),
-    "sbm.p_in": ("sbm_p_in", float),
-    "sbm.p_out": ("sbm_p_out", float),
-    "sbm.feature_dim": ("sbm_feature_dim", int),
-    "sbm.feature_noise": ("sbm_feature_noise", float),
-    "sbm.train_fraction": ("sbm_train_fraction", float),
-    "sbm.val_fraction": ("sbm_val_fraction", float),
-    "sbm.seed": ("sbm_seed", int),
-    "sampler.kind": ("sampler_kind", str),
-    "sampler.num_parts": ("num_parts", int),
-    "sampler.parts_per_batch": ("parts_per_batch", int),
-    "sampler.num_roots": ("num_roots", int),
-    "sampler.walk_length": ("walk_length", int),
-    "sampler.batches_per_epoch": ("batches_per_epoch", int),
-    "sampler.fanouts": ("fanouts", _parse_ints),
-    "sampler.seeds_per_batch": ("seeds_per_batch", int),
-    "model.arch": ("arch", str),
-    "model.depth": ("depth", int),
-    "model.hidden": ("hidden", int),
-    "model.dropout": ("dropout", float),
-    "model.sign_hops": ("sign_hops", int),
-    "loss.mode": ("loss_mode", str),
-    "loss.gamma": ("gamma", float),
-    "loss.stop_gradient": ("stop_gradient", _parse_bool),
-    "pacing.kind": ("pacing_kind", str),
-    "pacing.alpha_const": ("alpha_const", float),
-    "pacing.r": ("pacing_r", float),
-    "pacing.b": ("pacing_b", float),
-    "pacing.alpha_max": ("alpha_max", float),
-    "propagation.beta": ("beta", float),
-    "propagation.k": ("k_steps", int),
-    "propagation.self_loops": ("self_loops", _parse_bool),
-    "train.epochs": ("epochs", int),
-    "train.lr": ("lr", float),
-    "train.seed": ("seed", int),
-    "train.repeats": ("repeats", int),
-    "ablate.no_propagation": ("no_propagation", _parse_bool),
-    "ablate.no_refinement": ("no_refinement", _parse_bool),
-    "ablate.no_pacing": ("no_pacing", _parse_bool),
-    "label_input": ("label_input", _parse_bool),
+    f.metadata["key"]: (f.name, _PARSERS[f.type]) for f in dataclasses.fields(ExperimentConfig)
 }
 
-DEFAULT_CONFIG_KEYS = tuple(_FIELDS)
 _SWEEP_KEYS = {
     "sweep.r": "pacing_r",
     "sweep.gamma": "gamma",
@@ -360,6 +318,14 @@ def _needs_propagation(cfg: ExperimentConfig) -> bool:
     return cfg.label_input or (cfg.loss_mode == "als" and not cfg.no_propagation)
 
 
+def build_partition(cfg: ExperimentConfig, dataset: Dataset) -> Partition | None:
+    """The cluster sampler's partition of the dataset graph; None for other samplers."""
+    if cfg.sampler_kind != "cluster":
+        return None
+    return partition_clusters(dataset.graph, cfg.num_parts,
+                              rng_streams.child_seed(cfg.seed, rng_streams.PARTITION))
+
+
 def epoch_batches(cfg: ExperimentConfig, dataset: Dataset,
                   partition: Partition | None, epoch: int) -> list[Batch]:
     sampler_seed = rng_streams.child_seed(cfg.seed, rng_streams.SAMPLER)
@@ -403,7 +369,7 @@ def _is_whole_graph(batch: Batch, dataset: Dataset) -> bool:
 
     Only the identity node order or ``full_batch`` share the graph object.
     """
-    return batch.subgraph is dataset.graph and batch.layer_graphs is None
+    return batch.subgraph is dataset.graph
 
 
 def _evaluate_epoch(cfg: ExperimentConfig, dataset: Dataset, feats: np.ndarray,
@@ -477,18 +443,11 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
         refinement = init_refinement(dataset.num_classes,
                                      rng_streams.child_seed(cfg.seed, rng_streams.REFINEMENT_INIT))
 
-    partition = None
-    if cfg.sampler_kind == "cluster":
-        partition = partition_clusters(dataset.graph, cfg.num_parts,
-                                       rng_streams.child_seed(cfg.seed, rng_streams.PARTITION))
-
-    def current_values() -> list[np.ndarray]:
-        values = list(params.weights) + list(params.biases)
-        if refinement is not None:
-            values.append(refinement.w)
-        return values
-
-    state = init_opt_state(current_values(), cfg.lr)
+    values = params.weights + params.biases
+    if refinement is not None:
+        values.append(refinement.w)
+    state = init_opt_state(values, cfg.lr)
+    partition = build_partition(cfg, dataset)
     schedule = cfg.pacing_schedule()
     records: list[EpochRecord] = []
     batches: list[Batch] = []
@@ -518,14 +477,9 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
             if refinement is not None:
                 grads.append(dw)
             try:
-                new_values, state = adam_step(current_values(), grads, state)
+                adam_step(values, grads, state)
             except ValueError as exc:
                 raise RuntimeError(f"training diverged at epoch {epoch}: {exc}") from None
-            depth = params.depth
-            params.weights[:] = new_values[:depth]
-            params.biases[:] = new_values[depth : 2 * depth]
-            if refinement is not None:
-                refinement.w = new_values[-1]
         metrics, full_forward = _evaluate_epoch(cfg, dataset, feats, params, refinement, yk,
                                                 batches, alpha)
         reusable = full_forward if params.dropout == 0 else None

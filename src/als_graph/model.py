@@ -6,9 +6,9 @@ aggregation entirely. A GCN layer applies A on the narrower side of its
 weight matrix: a layer that narrows (``fan_out < fan_in``) computes
 ``A(HW) + b``, every other layer ``(AH)W + b``, so each operator product,
 forward and backward, is ``min(fan_in, fan_out)`` columns wide. The optimizer
-is standard bias-corrected adaptive moments over a flat list of parameter
-arrays, and the inception-style precompute stacks powers of the normalized
-adjacency applied to the features.
+is standard bias-corrected adaptive moments, updated in place over a flat
+list of parameter arrays, and the inception-style precompute stacks powers
+of the normalized adjacency applied to the features.
 """
 from __future__ import annotations
 
@@ -184,6 +184,9 @@ def backward(params: ModelParams, cache: ForwardCache,
     return wgrads, bgrads
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptState:
     """Per-array first/second moment accumulators for adaptive updates."""
@@ -192,36 +195,32 @@ class OptState:
     v: list[np.ndarray]
     step: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_opt_state(values, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> OptState:
-    return OptState([np.zeros_like(x) for x in values], [np.zeros_like(x) for x in values],
-                    0, lr, beta1, beta2, eps)
+def init_opt_state(values, lr: float) -> OptState:
+    return OptState([np.zeros_like(x) for x in values], [np.zeros_like(x) for x in values], 0, lr)
 
 
-def adam_step(values, grads, state: OptState) -> tuple[list[np.ndarray], OptState]:
-    """One bias-corrected adaptive-moment update over a flat parameter list."""
+def adam_step(values, grads, state: OptState) -> None:
+    """One bias-corrected adaptive-moment update, in place over a flat list.
+
+    ``values``, ``state.m``, ``state.v`` and ``state.step`` change only once
+    every gradient has been checked finite.
+    """
     if len(values) != len(grads) or len(values) != len(state.m):
         raise ValueError("parameter, gradient and state lists must align")
     for i, g in enumerate(grads):
         if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient in array {i} "
                              f"({int(np.sum(~np.isfinite(g)))} bad entries)")
-    t = state.step + 1
-    new_values, new_m, new_v = [], [], []
+    state.step += 1
+    t = state.step
     for x, g, m, v in zip(values, grads, state.m, state.v):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        new_values.append(x - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_values, OptState(new_m, new_v, t, state.lr, state.beta1, state.beta2, state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        x -= state.lr * (m / (1.0 - BETA1**t)) / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
 
 
 def sign_precompute(g: CsrGraph, x: np.ndarray, hops: int) -> np.ndarray:

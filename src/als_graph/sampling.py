@@ -28,22 +28,22 @@ __all__ = [
 
 @dataclass
 class Batch:
-    """One training batch: a local subgraph plus its mapping back to the graph.
+    """One training batch: local adjacency plus its mapping back to the graph.
 
-    ``train_local`` indexes the batch rows that carry a loss. For neighbor
-    batches ``layer_graphs`` holds one local adjacency per model layer
-    (input side first); other regimes leave it None and every layer uses
-    ``subgraph``.
+    ``train_local`` indexes the batch rows that carry a loss. Neighbor
+    batches carry only ``layer_graphs``, one local adjacency per model layer
+    (input side first), and no ``subgraph``; other regimes leave
+    ``layer_graphs`` None and every layer uses ``subgraph``.
     """
 
-    subgraph: CsrGraph
+    subgraph: CsrGraph | None
     global_ids: np.ndarray
     train_local: np.ndarray
     layer_graphs: tuple[CsrGraph, ...] | None = None
 
     @property
     def num_nodes(self) -> int:
-        return self.subgraph.num_nodes
+        return self.global_ids.size
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def neighbor_sample(dataset: Dataset, seed_nodes, fanouts,
     byte-identical batches from run to run.
 
     The batch stores one symmetrized local adjacency per model layer (input
-    side first) plus their union as ``subgraph``; only the seeds carry a loss.
+    side first) and no ``subgraph``; only the seeds carry a loss.
     """
     given = np.asarray(seed_nodes, dtype=np.int64).ravel()
     if given.size == 0:
@@ -251,12 +251,10 @@ def neighbor_sample(dataset: Dataset, seed_nodes, fanouts,
     local_of = np.full(dataset.num_nodes, -1, dtype=np.int64)
     local_of[nodes] = np.arange(nodes.size)
     local_hops = [build_csr(local_of[e], nodes.size, symmetrize=True) for e in hop_edges]
-    all_edges = np.concatenate(hop_edges) if hop_edges else np.empty((0, 2), np.int64)
-    union = build_csr(local_of[all_edges], nodes.size, symmetrize=True)
     # hop 0 feeds the last model layer, so reverse for input-side order
     layer_graphs = tuple(reversed(local_hops))
     train_local = np.searchsorted(nodes, seeds)
-    return Batch(union, nodes, train_local.astype(np.int64), layer_graphs)
+    return Batch(None, nodes, train_local.astype(np.int64), layer_graphs)
 
 
 def full_batch(dataset: Dataset) -> Batch:

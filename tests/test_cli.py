@@ -72,6 +72,22 @@ def test_propagate_round_trip(tmp_path):
     assert np.allclose(yk, [[0.0, 0.5], [0.0, 0.25], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("labels, extra, message", [
+    ("0,1\n5,0\n", ["--num-nodes", "3"], "y.csv:2: node id 5 out of range for 3 nodes"),
+    ("0,1\n2,0\n0,0\n", [], "y.csv:3: node 0 listed more than once"),
+])
+def test_propagate_rejects_bad_label_lines(tmp_path, capsys, labels, extra, message):
+    (tmp_path / "g.tsv").write_text("0\t1\n1\t2\n")
+    (tmp_path / "y.csv").write_text(labels)
+    code = main(["propagate", "--graph", str(tmp_path / "g.tsv"), "--labels",
+                 str(tmp_path / "y.csv"), "--out", str(tmp_path / "yk.bin"), *extra])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert err["message"].endswith(message)
+    assert not (tmp_path / "yk.bin").exists()
+
+
 def test_analyze_bias_csv(tmp_path, config_path):
     out = tmp_path / "bias.csv"
     code = main(["analyze-bias", "--config", str(config_path), "--out", str(out),

@@ -114,9 +114,25 @@ class TestDatasetFiles:
         (tmp_path / "x.csv").write_text("1.0\n2.0\n")
         (tmp_path / "y.csv").write_text("0,0\n1,7\n")
         (tmp_path / "s.csv").write_text("0,train\n")
-        with pytest.raises(ValueError, match="class id 7"):
+        with pytest.raises(ValueError, match=r"y\.csv:2: class id 7"):
             load_dataset(tmp_path / "e.tsv", tmp_path / "x.csv", tmp_path / "y.csv",
                          tmp_path / "s.csv", num_classes=2)
+
+    def test_node_listed_twice_rejected(self, tmp_path):
+        (tmp_path / "e.tsv").write_text("0\t1\n")
+        (tmp_path / "x.csv").write_text("1.0\n2.0\n")
+        (tmp_path / "y.csv").write_text("0,0\n1,1\n0,1\n")
+        (tmp_path / "s.csv").write_text("0,train\n1,test\n")
+        with pytest.raises(ValueError, match=r"y\.csv:3: node 0 listed more than once"):
+            load_dataset(tmp_path / "e.tsv", tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "s.csv")
+
+    def test_negative_split_node_rejected(self, tmp_path):
+        (tmp_path / "e.tsv").write_text("0\t1\n")
+        (tmp_path / "x.csv").write_text("1.0\n2.0\n")
+        (tmp_path / "y.csv").write_text("0,0\n1,1\n")
+        (tmp_path / "s.csv").write_text("0,train\n-1,test\n")
+        with pytest.raises(ValueError, match=r"s\.csv:2: negative node id"):
+            load_dataset(tmp_path / "e.tsv", tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "s.csv")
 
     def test_mask_node_without_label_rejected(self, tmp_path):
         (tmp_path / "e.tsv").write_text("0\t1\n")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,10 +99,29 @@ class TestConfig:
         ("model.sign_hops", "-1"),
         ("model.dropout", "1.0"),
         ("model.dropout", "-0.1"),
+        ("loss.gamma", "-1"),
+        ("train.seed", "-1"),
+        ("sbm.seed", "-1"),
     ])
     def test_bad_model_setting_names_the_key(self, key, value):
         with pytest.raises(ValueError, match=re.escape(key)):
             build_config({key: value})
+
+    def test_values_parse_by_field_annotation(self):
+        cfg = build_config({"loss.gamma": "0", "train.lr": "1", "train.epochs": "3",
+                            "loss.stop_gradient": "yes", "sampler.fanouts": "1,2,3"})
+        assert (cfg.gamma, cfg.lr, cfg.epochs) == (0.0, 1.0, 3)
+        assert [type(v) for v in (cfg.gamma, cfg.lr, cfg.epochs)] == [float, float, int]
+        assert cfg.stop_gradient is True and cfg.fanouts == (1, 2, 3)
+
+    def test_readme_table_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
+        documented = {key for row in table.splitlines() if row.startswith("| `")
+                      for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+        declared = {f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)}
+        assert len(declared) == 46
+        assert documented == declared
 
     def test_flat_round_trip(self):
         cfg = small_cfg()

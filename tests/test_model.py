@@ -209,17 +209,19 @@ class TestBackward:
 class TestAdam:
     def test_zero_grads_keep_params(self):
         values = [np.array([1.0, -2.0]), np.array([[3.0]])]
+        before = [v.copy() for v in values]
         state = init_opt_state(values, lr=0.1)
-        new_values, new_state = adam_step(values, [np.zeros(2), np.zeros((1, 1))], state)
-        for old, new in zip(values, new_values):
+        adam_step(values, [np.zeros(2), np.zeros((1, 1))], state)
+        for old, new in zip(before, values):
             assert np.array_equal(old, new)
-        assert new_state.step == 1
+        assert state.step == 1
 
     def test_first_step_magnitude_and_sign(self):
         for g in (0.5, -2.0, 1e-3):
             values = [np.array([0.0])]
             state = init_opt_state(values, lr=0.05)
-            (new,), _ = adam_step(values, [np.array([g])], state)
+            adam_step(values, [np.array([g])], state)
+            (new,) = values
             assert np.sign(new[0]) == -np.sign(g)
             assert abs(new[0]) == pytest.approx(0.05, rel=1e-5)
 
@@ -229,14 +231,21 @@ class TestAdam:
         values = [np.array([1.0])]
         state = init_opt_state(values, lr=0.1)
         for g, want in zip([0.4, -0.2, 0.1], expected):
-            values, state = adam_step(values, [np.array([g])], state)
+            adam_step(values, [np.array([g])], state)
             assert values[0][0] == pytest.approx(want, abs=1e-12)
 
     def test_non_finite_gradient_aborts(self):
-        values = [np.array([1.0])]
+        # a bad gradient in the last array must leave every earlier array,
+        # and the moments and step count, as they were
+        values = [np.array([1.0, 2.0]), np.array([3.0])]
         state = init_opt_state(values, lr=0.1)
+        adam_step(values, [np.array([0.5, -0.5]), np.array([0.25])], state)
+        snapshot = [a.copy() for a in (*values, *state.m, *state.v)]
         with pytest.raises(ValueError, match="non-finite"):
-            adam_step(values, [np.array([np.nan])], state)
+            adam_step(values, [np.array([0.5, 0.5]), np.array([np.nan])], state)
+        assert state.step == 1
+        for old, new in zip(snapshot, (*values, *state.m, *state.v)):
+            assert np.array_equal(old, new)
 
 
 class TestSignPrecompute:
@@ -293,7 +302,5 @@ def test_training_step_smoke(rng):
         dlogits = np.zeros_like(logits)
         dlogits[batch.train_local] = dtrain
         wg, bg = backward(params, cache, dlogits)
-        new_values, state = adam_step(params.weights + params.biases, wg + bg, state)
-        params.weights[:] = new_values[:2]
-        params.biases[:] = new_values[2:]
+        adam_step(values, wg + bg, state)
     assert bd.total < first

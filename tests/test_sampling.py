@@ -146,14 +146,13 @@ class TestNeighborSample:
         seeds = np.flatnonzero(dataset.train_mask)[:4]
         batch = neighbor_sample(dataset, seeds, [0, 0], seed=0)
         assert np.array_equal(np.sort(batch.global_ids), np.sort(seeds))
-        assert batch.subgraph.nnz == 0
+        assert [g.nnz for g in batch.layer_graphs] == [0, 0]
 
     def test_sampled_edges_exist_in_original(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:5]
         batch = neighbor_sample(dataset, seeds, [3, 2, 2], seed=1)
         dense = dataset.graph.to_dense()
-        graphs = (batch.subgraph, *batch.layer_graphs)
-        for g in graphs:
+        for g in batch.layer_graphs:
             for u in range(g.num_nodes):
                 for v in g.neighbors(u):
                     gu, gv = batch.global_ids[u], batch.global_ids[int(v)]
@@ -174,7 +173,8 @@ class TestNeighborSample:
         a = neighbor_sample(dataset, seeds, [3, 2], seed=6, epoch=2, batch_index=1)
         b = neighbor_sample(dataset, seeds, [3, 2], seed=6, epoch=2, batch_index=1)
         assert np.array_equal(a.global_ids, b.global_ids)
-        assert a.subgraph.structurally_equal(b.subgraph)
+        assert np.array_equal(a.train_local, b.train_local)
+        assert len(a.layer_graphs) == len(b.layer_graphs) == 2
         for ga, gb in zip(a.layer_graphs, b.layer_graphs):
             assert ga.structurally_equal(gb)
 
@@ -227,14 +227,16 @@ class TestNeighborSample:
         p = fanout / d
         assert np.all(np.abs(picks[nbrs] - draws * p) <= 5 * np.sqrt(draws * p * (1 - p)))
 
-    def test_union_is_max_of_symmetric_layer_graphs(self, dataset):
+    def test_layer_graphs_are_symmetric_and_no_union_is_built(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:5]
         for rng_seed in range(3):
             batch = neighbor_sample(dataset, seeds, [3, 2, 2], seed=rng_seed)
-            layers = [g.to_dense() for g in batch.layer_graphs]
-            for dense in layers:
+            assert batch.subgraph is None
+            assert batch.num_nodes == batch.global_ids.size
+            for g in batch.layer_graphs:
+                assert g.num_nodes == batch.num_nodes
+                dense = g.to_dense()
                 assert np.array_equal(dense, dense.T)
-            assert np.array_equal(batch.subgraph.to_dense(), np.maximum.reduce(layers))
 
 
 def test_full_batch_covers_graph(dataset):
