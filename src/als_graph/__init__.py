@@ -57,4 +57,63 @@ from .smoothing import (
     softmax_rows,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Dataset",
+    "SbmParams",
+    "generate_sbm",
+    "load_dataset",
+    "one_hot",
+    "save_dataset",
+    "CsrGraph",
+    "add_self_loops",
+    "build_csr",
+    "induced_subgraph",
+    "normalized_spmm",
+    "ExperimentConfig",
+    "build_config",
+    "compare_label_exploitation",
+    "export_relevance",
+    "label_input_features",
+    "run_ablations",
+    "run_experiment",
+    "run_repeated",
+    "run_sweep",
+    "run_training",
+    "BiasStats",
+    "batch_class_fraction",
+    "bias_stats",
+    "confidence_stats",
+    "ModelParams",
+    "OptState",
+    "adam_step",
+    "backward",
+    "forward",
+    "init_model",
+    "init_opt_state",
+    "sign_precompute",
+    "PropagationConfig",
+    "init_label_matrix",
+    "predict_by_propagation",
+    "propagate",
+    "EpochRecord",
+    "ExperimentReport",
+    "load_report",
+    "write_report",
+    "Batch",
+    "Partition",
+    "cluster_batches",
+    "full_batch",
+    "neighbor_sample",
+    "partition_clusters",
+    "random_walk_sample",
+    "LossBreakdown",
+    "PacingSchedule",
+    "RefinementMatrix",
+    "alpha_at",
+    "init_refinement",
+    "kl_to_uniform",
+    "loss_and_grads",
+    "refine_soft_label",
+    "smooth_label",
+    "softmax_rows",
+]

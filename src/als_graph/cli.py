@@ -39,7 +39,7 @@ def cmd_propagate(args) -> int:
            else harness.ExperimentConfig())
     beta = cfg.beta if args.beta is None else args.beta
     k = cfg.k_steps if args.k is None else args.k
-    edges, inferred = read_edge_list(args.graph)
+    edges, inferred = read_edge_list(args.graph, args.num_nodes or None)
     nodes, classes = read_labels(args.labels, args.num_nodes or None)
     num_nodes = args.num_nodes or max(inferred, int(nodes.max()) + 1)
     num_classes = int(classes.max()) + 1

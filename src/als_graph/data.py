@@ -168,8 +168,11 @@ def _parse_int(token: str, path, lineno: int, what: str) -> int:
         raise ValueError(f"{path}:{lineno}: malformed {what} {token!r}") from None
 
 
-def read_edge_list(path) -> tuple[np.ndarray, int]:
-    """Parse an edge file; returns (pairs, max_id_plus_one)."""
+def read_edge_list(path, num_nodes: int | None = None) -> tuple[np.ndarray, int]:
+    """Parse an edge file; returns (pairs, max_id_plus_one).
+
+    Every node id must lie below ``num_nodes`` when it is given.
+    """
     pairs: list[tuple[int, int]] = []
     max_id = -1
     with open(path, encoding="utf-8") as fh:
@@ -184,6 +187,9 @@ def read_edge_list(path) -> tuple[np.ndarray, int]:
             v = _parse_int(fields[1], path, lineno, "node id")
             if u < 0 or v < 0:
                 raise ValueError(f"{path}:{lineno}: negative node id")
+            if num_nodes is not None and max(u, v) >= num_nodes:
+                raise ValueError(f"{path}:{lineno}: node id {max(u, v)} out of range "
+                                 f"for {num_nodes} nodes")
             pairs.append((u, v))
             max_id = max(max_id, u, v)
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -240,9 +246,7 @@ def load_dataset(edge_path, feature_path, label_path, split_path, *,
     features = load_features(feature_path)
     n = features.shape[0]
 
-    edges, edge_n = read_edge_list(edge_path)
-    if edge_n > n:
-        raise ValueError(f"{edge_path}: node id {edge_n - 1} out of range for {n} feature rows")
+    edges, _ = read_edge_list(edge_path, n)
     graph = build_csr(edges, n, symmetrize=symmetrize)
 
     nodes, classes = read_labels(label_path, n, num_classes)

@@ -348,10 +348,9 @@ def epoch_batches(cfg: ExperimentConfig, dataset: Dataset,
 
 def _batch_loss(cfg: ExperimentConfig, dataset: Dataset, batch: Batch, logits: np.ndarray,
                 yk: np.ndarray | None, refinement: RefinementMatrix | None, alpha: float):
-    rows = batch.train_local
-    gids = batch.global_ids[rows]
+    gids = batch.global_ids[batch.train_local]
     hard = one_hot(dataset.labels[gids], dataset.num_classes)
-    train_logits = logits[rows]
+    train_logits = logits[batch.loss_rows]
     if cfg.loss_mode == "plain":
         return loss_and_grads(train_logits, hard, mode="plain")
     if cfg.loss_mode == "ls":
@@ -389,7 +388,7 @@ def _evaluate_epoch(cfg: ExperimentConfig, dataset: Dataset, feats: np.ndarray,
         breakdown, _, _ = _batch_loss(cfg, dataset, batch, logits, yk, refinement, alpha)
         totals.append(breakdown.total)
         gids = batch.global_ids[batch.train_local]
-        correct += int((logits[batch.train_local].argmax(axis=1) == dataset.labels[gids]).sum())
+        correct += int((logits[batch.loss_rows].argmax(axis=1) == dataset.labels[gids]).sum())
         seen += gids.size
     probs = softmax_rows(full_logits)
     test_ids = np.flatnonzero(dataset.test_mask)
@@ -471,7 +470,7 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
             if not np.isfinite(breakdown.total):
                 raise RuntimeError(f"training loss diverged (non-finite) at epoch {epoch}")
             dlogits = np.zeros_like(logits)
-            dlogits[batch.train_local] = dtrain
+            dlogits[batch.loss_rows] = dtrain
             wgrads, bgrads = backward(params, cache, dlogits)
             grads = wgrads + bgrads
             if refinement is not None:

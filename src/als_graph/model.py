@@ -5,16 +5,20 @@ normalized self-loop operator A in every affine layer, and ``mlp`` skips
 aggregation entirely. A GCN layer applies A on the narrower side of its
 weight matrix: a layer that narrows (``fan_out < fan_in``) computes
 ``A(HW) + b``, every other layer ``(AH)W + b``, so each operator product,
-forward and backward, is ``min(fan_in, fan_out)`` columns wide. The optimizer
-is standard bias-corrected adaptive moments, updated in place over a flat
-list of parameter arrays, and the inception-style precompute stacks powers
-of the normalized adjacency applied to the features.
+forward and backward, is ``min(fan_in, fan_out)`` columns wide. On a layered
+(neighbor) batch each layer computes only the rows the next layer reads,
+through the batch's rectangular per-layer operator blocks, and the logits
+hold the loss rows only. The optimizer is standard bias-corrected adaptive
+moments, updated in place over a flat list of parameter arrays, and the
+inception-style precompute stacks powers of the normalized adjacency applied
+to the features.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import CsrGraph, normalized_spmm
 from .rng import stream
@@ -77,35 +81,58 @@ def init_model(arch: str, dims, dropout: float, seed: int) -> ModelParams:
 @dataclass
 class ForwardCache:
     params: ModelParams
-    graphs: list[CsrGraph | None]
+    operators: list[CsrGraph | sp.csr_array | None]
     layer_inputs: list[np.ndarray]
     preactivations: list[np.ndarray]
     dropout_masks: list[np.ndarray | None]
 
 
-def _layer_graph(params: ModelParams, batch: Batch, layer: int) -> CsrGraph | None:
+def _layer(params: ModelParams, batch: Batch, layer: int):
+    """(aggregation operator, batch rows the layer outputs) for one layer.
+
+    The operator is None for ``mlp``, the batch graph for an unlayered batch
+    (rows None: every row) and the layer's rectangular block for a layered
+    one. An ``mlp`` on a layered batch computes only the loss rows.
+    """
+    if batch.layer_graphs is None:
+        return (None if params.arch == "mlp" else batch.subgraph), None
+    if len(batch.layer_graphs) != params.depth:
+        raise ValueError("batch carries layered adjacencies for a different depth")
     if params.arch == "mlp":
-        return None
-    if batch.layer_graphs is not None:
-        if len(batch.layer_graphs) != params.depth:
-            raise ValueError("batch carries layered adjacencies for a different depth")
-        return batch.layer_graphs[layer]
-    return batch.subgraph
+        return None, batch.train_local
+    return batch.layer_blocks[layer], batch.layer_rows[layer]
 
 
-def _projects_first(g: CsrGraph | None, w: np.ndarray) -> bool:
+def _aggregate(op, m: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``op @ m`` (``op.T @ m`` with ``transpose``) for a graph or a block.
+
+    A graph's normalized operator is symmetric. A block's transpose is a
+    CSC view, which adds up each output row in the same column order as the
+    symmetric CSR product does.
+    """
+    if isinstance(op, CsrGraph):
+        return normalized_spmm(op, m, "sym_norm_self_loops")
+    return (op.T if transpose else op) @ m
+
+
+def _projects_first(op, w: np.ndarray) -> bool:
     """True when the layer computes A(HW): it aggregates and narrows."""
-    return g is not None and w.shape[1] < w.shape[0]
+    return op is not None and w.shape[1] < w.shape[0]
 
 
 def forward(params: ModelParams, batch: Batch, features: np.ndarray,
             train_mode: bool, seed: int = 0) -> tuple[np.ndarray, ForwardCache]:
-    """Logits for every batch node plus the cache needed by ``backward``.
+    """Logits for the rows the last layer outputs, plus the cache for ``backward``.
 
     ``features`` must hold one row per batch node, aligned with
-    ``batch.global_ids``. Dropout applies to hidden activations only and only
-    in train mode, with inverted scaling baked into the stored masks; with
-    dropout 0 train and eval mode are the same computation.
+    ``batch.global_ids``. The logits hold every batch row, or for a layered
+    batch the ``train_local`` rows only (``batch.loss_rows`` indexes them).
+    Each layer of a layered batch computes only the rows the next layer
+    reads. Dropout applies to hidden activations only and only in train
+    mode, with inverted scaling baked into the stored masks; masks are drawn
+    for every batch row and then row-selected, so the random stream does not
+    depend on the restriction. With dropout 0 train and eval mode are the
+    same computation.
 
     A GCN layer that narrows computes ``A(HW) + b`` and caches its input
     ``H``; every other layer computes ``(AH)W + b`` and caches ``AH``.
@@ -118,23 +145,25 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
                          f"({params.weights[0].shape[0]})")
     gen = stream(seed) if train_mode and params.dropout > 0 else None
     cache = ForwardCache(params, [], [], [], [])
+    if params.arch == "mlp" and batch.layer_graphs is not None:
+        h = h[batch.train_local]  # mlp rows are independent: keep only the loss rows
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        g = _layer_graph(params, batch, layer)
-        if _projects_first(g, w):
+        op, rows = _layer(params, batch, layer)
+        if _projects_first(op, w):
             x = h
-            z = normalized_spmm(g, h @ w, "sym_norm_self_loops") + b
+            z = _aggregate(op, h @ w) + b
         else:
-            x = h if g is None else normalized_spmm(g, h, "sym_norm_self_loops")
+            x = h if op is None else _aggregate(op, h)
             z = x @ w + b
-        cache.graphs.append(g)
+        cache.operators.append(op)
         cache.layer_inputs.append(x)
         cache.preactivations.append(z)
         if layer < params.depth - 1:
             h = np.maximum(z, 0.0)
             mask = None
             if gen is not None:
-                keep = gen.random(h.shape) >= params.dropout
-                mask = keep / (1.0 - params.dropout)
+                keep = gen.random((batch.num_nodes, h.shape[1])) >= params.dropout
+                mask = (keep if rows is None else keep[rows]) / (1.0 - params.dropout)
                 h = h * mask
             cache.dropout_masks.append(mask)
         else:
@@ -146,12 +175,13 @@ def backward(params: ModelParams, cache: ForwardCache,
              dlogits: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Exact reverse pass; returns (weight grads, bias grads).
 
-    The aggregation operator A is symmetric, so its transpose application
-    reuses the forward kernel on the same side as the forward: a layer that
-    computed ``A(HW) + b`` forms ``adz = A dz`` once and takes
-    ``dW = H^T adz`` and ``dH = adz W^T``; a ``(AH)W + b`` layer takes
-    ``dW = (AH)^T dz`` and ``dH = A(dz W^T)``. The first layer's ``dH`` is
-    never formed.
+    Each layer applies the transpose of its forward operator on the same
+    side as the forward: a layer that computed ``A(HW) + b`` forms
+    ``adz = A^T dz`` once and takes ``dW = H^T adz`` and ``dH = adz W^T``; a
+    ``(AH)W + b`` layer takes ``dW = (AH)^T dz`` and ``dH = A^T(dz W^T)``.
+    On a layered batch ``A`` is the layer's rectangular block, so ``dH``
+    has the rows of the layer's input. The first layer's ``dH`` is never
+    formed.
     """
     if cache.params is not params:
         raise ValueError("stale cache: it was produced by a different forward call")
@@ -170,9 +200,9 @@ def backward(params: ModelParams, cache: ForwardCache,
         else:
             dz = dh
         bgrads[layer] = dz.sum(axis=0)
-        w, g = params.weights[layer], cache.graphs[layer]
-        if _projects_first(g, w):
-            adz = normalized_spmm(g, dz, "sym_norm_self_loops")
+        w, op = params.weights[layer], cache.operators[layer]
+        if _projects_first(op, w):
+            adz = _aggregate(op, dz, transpose=True)
             wgrads[layer] = cache.layer_inputs[layer].T @ adz
             if layer:
                 dh = adz @ w.T
@@ -180,7 +210,7 @@ def backward(params: ModelParams, cache: ForwardCache,
             wgrads[layer] = cache.layer_inputs[layer].T @ dz
             if layer:
                 dagg = dz @ w.T
-                dh = dagg if g is None else normalized_spmm(g, dagg, "sym_norm_self_loops")
+                dh = dagg if op is None else _aggregate(op, dagg, transpose=True)
     return wgrads, bgrads
 
 

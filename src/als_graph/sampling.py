@@ -7,9 +7,10 @@ distinct (epoch, batch) pairs may be built concurrently.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import Dataset
 from .graph import CsrGraph, build_csr, induced_subgraph
@@ -33,17 +34,56 @@ class Batch:
     ``train_local`` indexes the batch rows that carry a loss. Neighbor
     batches carry only ``layer_graphs``, one local adjacency per model layer
     (input side first), and no ``subgraph``; other regimes leave
-    ``layer_graphs`` None and every layer uses ``subgraph``.
+    ``layer_graphs`` None and every layer uses ``subgraph`` on every row.
+
+    A layered batch also records, per layer, the rows that layer outputs and
+    its operator restricted to them (both derived from ``layer_graphs`` on
+    construction). The last layer outputs the ``train_local`` rows, in that
+    order; layer ``l - 1`` outputs layer ``l``'s rows plus their neighbours
+    in ``layer_graphs[l]``, in ascending order; layer 0 reads every batch
+    row. ``layer_blocks[l]`` is the rows x input-rows block of layer ``l``'s
+    D^-1/2 (A + I) D^-1/2, entry for entry as ``normalized_spmm`` applies it.
     """
 
     subgraph: CsrGraph | None
     global_ids: np.ndarray
     train_local: np.ndarray
     layer_graphs: tuple[CsrGraph, ...] | None = None
+    layer_rows: tuple[np.ndarray, ...] | None = field(default=None, init=False)
+    layer_blocks: tuple[sp.csr_array, ...] | None = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        if self.layer_graphs is None:
+            return
+        if any(g.num_nodes != self.num_nodes for g in self.layer_graphs):
+            raise ValueError("every layer graph must span the batch nodes")
+        rows = np.asarray(self.train_local, dtype=np.int64)
+        layer_rows, blocks = [], []
+        for layer in range(len(self.layer_graphs) - 1, -1, -1):
+            block = _sym_norm_rows(self.layer_graphs[layer], rows)
+            layer_rows.append(rows)
+            if layer:  # narrow the columns to the rows the layer below outputs
+                read = np.zeros(self.num_nodes, dtype=bool)
+                read[block.indices] = True
+                rows = np.flatnonzero(read)
+                position = np.empty(self.num_nodes, dtype=np.int64)
+                position[rows] = np.arange(rows.size)
+                block = sp.csr_array((block.data, position[block.indices], block.indptr),
+                                     shape=(block.shape[0], rows.size))
+            blocks.append(block)
+        self.layer_rows = tuple(reversed(layer_rows))
+        self.layer_blocks = tuple(reversed(blocks))
 
     @property
     def num_nodes(self) -> int:
         return self.global_ids.size
+
+    @property
+    def loss_rows(self) -> np.ndarray:
+        """The rows of ``model.forward``'s logits that line up with ``train_local``."""
+        if self.layer_rows is None:
+            return self.train_local
+        return np.arange(self.train_local.size)
 
 
 @dataclass(frozen=True)
@@ -72,6 +112,29 @@ def _gather_rows(g: CsrGraph, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     lengths = g.row_offsets[rows + 1] - starts
     within = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     return np.repeat(rows, lengths), g.col_indices[np.repeat(starts, lengths) + within], within
+
+
+def _sym_norm_rows(g: CsrGraph, rows: np.ndarray) -> sp.csr_array:
+    """Rows ``rows`` of D^-1/2 (A + I) D^-1/2 on ``g``, built from its CSR arrays.
+
+    Each row holds the entries of ``g._sym_norm_op``'s row in the same order
+    with the same values, so a product with it sums exactly what the square
+    operator sums for that row.
+    """
+    src, nbrs, _ = _gather_rows(g, rows)
+    lengths = g.degrees[rows]
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    # the self loop goes after the row's neighbours with smaller ids
+    below = np.concatenate(([0], np.cumsum(nbrs < src)))
+    cols = np.insert(nbrs, starts + below[ends] - below[starts], rows)
+    scale = 1.0 / np.sqrt(g.degrees + 1.0)
+    data = np.repeat(scale[rows], lengths + 1) * scale[cols]
+    indptr = np.concatenate(([0], ends + np.arange(1, rows.size + 1)))
+    block = sp.csr_array((data, cols, indptr), shape=(rows.size, g.num_nodes))
+    if np.any(nbrs == src):
+        block.sum_duplicates()  # a stored self loop adds up with I, as in A + I
+    return block
 
 
 def _bfs_distances(g: CsrGraph, sources: np.ndarray) -> np.ndarray:
@@ -212,7 +275,12 @@ def neighbor_sample(dataset: Dataset, seed_nodes, fanouts,
     byte-identical batches from run to run.
 
     The batch stores one symmetrized local adjacency per model layer (input
-    side first) and no ``subgraph``; only the seeds carry a loss.
+    side first) and no ``subgraph``; only the seeds carry a loss. From those
+    graphs it also records the rows each layer outputs and that layer's
+    operator restricted to them (see ``Batch``), so ``model.forward`` and
+    ``backward`` compute each layer only on the rows the next layer reads;
+    the seeds' logits and the gradients equal a full-height computation to
+    the last bits or within a few ulps.
     """
     given = np.asarray(seed_nodes, dtype=np.int64).ravel()
     if given.size == 0:

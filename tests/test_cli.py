@@ -88,6 +88,18 @@ def test_propagate_rejects_bad_label_lines(tmp_path, capsys, labels, extra, mess
     assert not (tmp_path / "yk.bin").exists()
 
 
+def test_propagate_rejects_edge_id_beyond_num_nodes(tmp_path, capsys):
+    (tmp_path / "g.tsv").write_text("0\t1\n1\t5\n")
+    (tmp_path / "y.csv").write_text("0,1\n")
+    code = main(["propagate", "--graph", str(tmp_path / "g.tsv"), "--labels",
+                 str(tmp_path / "y.csv"), "--out", str(tmp_path / "yk.bin"), "--num-nodes", "3"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert err["message"].endswith("g.tsv:2: node id 5 out of range for 3 nodes")
+    assert not (tmp_path / "yk.bin").exists()
+
+
 def test_analyze_bias_csv(tmp_path, config_path):
     out = tmp_path / "bias.csv"
     code = main(["analyze-bias", "--config", str(config_path), "--out", str(out),

@@ -109,6 +109,14 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=r"e\.tsv:2"):
             load_dataset(tmp_path / "e.tsv", tmp_path / "x.csv", tmp_path / "x.csv", tmp_path / "x.csv")
 
+    def test_edge_id_beyond_feature_rows_reports_line(self, tmp_path):
+        (tmp_path / "e.tsv").write_text("0\t1\n# comment\n1\t5\n")
+        (tmp_path / "x.csv").write_text("1.0\n2.0\n3.0\n")
+        (tmp_path / "y.csv").write_text("0,0\n")
+        (tmp_path / "s.csv").write_text("0,train\n")
+        with pytest.raises(ValueError, match=r"e\.tsv:3: node id 5 out of range for 3 nodes"):
+            load_dataset(tmp_path / "e.tsv", tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "s.csv")
+
     def test_class_id_above_count_rejected(self, tmp_path):
         (tmp_path / "e.tsv").write_text("0\t1\n")
         (tmp_path / "x.csv").write_text("1.0\n2.0\n")

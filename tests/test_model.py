@@ -15,7 +15,8 @@ from als_graph.model import (
     init_opt_state,
     sign_precompute,
 )
-from als_graph.sampling import Batch, full_batch
+from als_graph.rng import stream
+from als_graph.sampling import Batch, full_batch, neighbor_sample
 from als_graph.smoothing import loss_and_grads
 
 from conftest import central_diff, dense_sym_norm_self_loops, random_undirected, rel_err
@@ -71,7 +72,7 @@ class TestForward:
         a, train_cache = forward(params, batch, feats, train_mode=True, seed=5)
         b, eval_cache = forward(params, batch, feats, train_mode=False)
         assert a.tobytes() == b.tobytes()
-        assert train_cache.graphs == eval_cache.graphs
+        assert train_cache.operators == eval_cache.operators
         assert train_cache.dropout_masks == eval_cache.dropout_masks == [None] * 3
         for name in ("layer_inputs", "preactivations"):
             for x, y in zip(getattr(train_cache, name), getattr(eval_cache, name)):
@@ -182,19 +183,95 @@ class TestBackward:
         assert widths == narrower[:0:-1]
 
     def test_layered_batch_uses_per_layer_graphs(self, rng):
-        g_all = build_csr([(0, 1), (1, 2)], 3, symmetrize=True)
-        hop1 = build_csr([(0, 1)], 3, symmetrize=True)
-        hop2 = build_csr([(1, 2)], 3, symmetrize=True)
-        layered = Batch(g_all, np.arange(3), np.array([0]), layer_graphs=(hop1, hop2))
-        flat = Batch(g_all, np.arange(3), np.array([0]))
-        feats = rng.standard_normal((3, 2))
+        g_all = build_csr([(0, 1), (1, 2), (2, 3)], 4, symmetrize=True)
+        lower = build_csr([(0, 1), (2, 3)], 4, symmetrize=True)
+        upper = build_csr([(1, 2)], 4, symmetrize=True)
+        layered = Batch(g_all, np.arange(4), np.array([1]), layer_graphs=(lower, upper))
+        flat = Batch(g_all, np.arange(4), np.array([1]))
+        feats = rng.standard_normal((4, 2))
         params = init_model("gcn", [2, 4, 2], dropout=0.0, seed=5)
+        params.biases[:] = [0.1 * rng.standard_normal(b.shape) for b in params.biases]
         a, _ = forward(params, layered, feats, train_mode=False)
         b, _ = forward(params, flat, feats, train_mode=False)
-        assert not np.array_equal(a, b)
+        # dense per-layer oracle, read at the loss rows
+        (w0, w1), (b0, b1) = params.weights, params.biases
+        h = np.maximum(dense_sym_norm_self_loops(lower.to_dense()) @ feats @ w0 + b0, 0.0)
+        expected = dense_sym_norm_self_loops(upper.to_dense()) @ h @ w1 + b1
+        assert np.abs(a[layered.loss_rows] - expected[layered.train_local]).max() < 1e-12
+        assert not np.allclose(a[layered.loss_rows], b[flat.loss_rows])
         with pytest.raises(ValueError, match="depth"):
-            bad = Batch(g_all, np.arange(3), np.array([0]), layer_graphs=(hop1,))
+            bad = Batch(g_all, np.arange(4), np.array([1]), layer_graphs=(lower,))
             forward(params, bad, feats, train_mode=False)
+
+    # a neighbor batch of the block-model graph whose three layers output
+    # strictly fewer rows from the input side up
+    @staticmethod
+    def _neighbor_batch():
+        d = generate_sbm(SbmParams(blocks=3, nodes_per_block=14, p_in=0.3, p_out=0.03,
+                                   feature_dim=4, train_fraction=0.5, seed=1))
+        batch = neighbor_sample(d, np.flatnonzero(d.train_mask)[:4], [2, 2, 2], seed=2)
+        sizes = [r.size for r in batch.layer_rows]
+        assert sizes[2] < sizes[1] < sizes[0] < batch.num_nodes  # the restriction is exercised
+        return batch
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_neighbor_batch_matches_finite_differences(self, dropout):
+        gen = np.random.default_rng(4)
+        batch = self._neighbor_batch()
+        dims = [6, 3, 7, 2]  # narrows (A(HW)), widens ((AH)W), narrows
+        feats = gen.standard_normal((batch.num_nodes, dims[0]))
+        hard = one_hot(gen.integers(dims[-1], size=batch.train_local.size), dims[-1])
+        params = init_model("gcn", dims, dropout=dropout, seed=3)
+        params.biases[:] = [0.1 * gen.standard_normal(b.shape) for b in params.biases]
+
+        def total() -> float:
+            logits, _ = forward(params, batch, feats, train_mode=True, seed=11)
+            return loss_and_grads(logits[batch.loss_rows], hard)[0].total
+
+        logits, cache = forward(params, batch, feats, train_mode=True, seed=11)
+        _, dtrain, _ = loss_and_grads(logits[batch.loss_rows], hard)
+        dlogits = np.zeros_like(logits)
+        dlogits[batch.loss_rows] = dtrain
+        wgrads, bgrads = backward(params, cache, dlogits)
+        for analytic, array in zip(wgrads + bgrads, params.weights + params.biases):
+            assert rel_err(analytic, central_diff(total, array)) < 1e-5
+
+    def test_layered_batch_computes_only_the_rows_the_next_layer_reads(self, rng):
+        batch = self._neighbor_batch()
+        n = batch.num_nodes
+        # expected output rows, from the top: the seeds, then each layer's
+        # rows plus their neighbours in the layer graph above
+        expected = [None, None, batch.train_local]
+        for layer in (2, 1):
+            g, rows = batch.layer_graphs[layer], expected[layer]
+            expected[layer - 1] = np.union1d(
+                rows, np.concatenate([g.neighbors(int(r)) for r in rows]))
+        sizes = [rows.size for rows in expected]
+        feats = rng.standard_normal((n, 5))
+        params = init_model("gcn", [5, 8, 8, 3], dropout=0.5, seed=0)
+        logits, cache = forward(params, batch, feats, train_mode=True, seed=1)
+        assert [z.shape[0] for z in cache.preactivations] == sizes
+        assert [op.shape for op in cache.operators] == [(sizes[0], n), (sizes[1], sizes[0]),
+                                                         (sizes[2], sizes[1])]
+        assert [m.shape[0] for m in cache.dropout_masks[:2]] == sizes[:2]
+        # dense oracle at full batch height, dropout masks drawn from the same stream
+        gen = stream(1)
+        h = feats
+        for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+            z = dense_sym_norm_self_loops(batch.layer_graphs[layer].to_dense()) @ h @ w + b
+            if layer < 2:
+                h = np.maximum(z, 0.0) * ((gen.random(z.shape) >= 0.5) / 0.5)
+        assert np.abs(logits - z[batch.train_local]).max() < 1e-12
+        # the backward pass keeps the same rows
+        wgrads, _ = backward(params, cache, rng.standard_normal(logits.shape))
+        assert [g.shape for g in wgrads] == [w.shape for w in params.weights]
+        # an mlp reads no neighbours: every layer computes the seed rows only
+        mlp = init_model("mlp", [5, 8, 8, 3], dropout=0.5, seed=0)
+        logits, cache = forward(mlp, batch, feats, train_mode=True, seed=1)
+        assert [z.shape[0] for z in cache.preactivations] == [batch.train_local.size] * 3
+        full, _ = forward(mlp, Batch(batch.layer_graphs[0], batch.global_ids, batch.train_local),
+                          feats, train_mode=True, seed=1)
+        assert np.abs(logits - full[batch.train_local]).max() < 1e-12
 
     def test_stale_cache_rejected(self, rng):
         batch = make_batch(3, [(0, 1)])

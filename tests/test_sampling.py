@@ -5,6 +5,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from als_graph.data import SbmParams, generate_sbm, one_hot
+from als_graph.graph import add_self_loops
 from als_graph.sampling import (
     cluster_batches,
     full_batch,
@@ -237,6 +238,39 @@ class TestNeighborSample:
                 assert g.num_nodes == batch.num_nodes
                 dense = g.to_dense()
                 assert np.array_equal(dense, dense.T)
+
+    @pytest.mark.parametrize("self_loops", [False, True], ids=["plain", "self_loops"])
+    def test_layer_rows_and_blocks_follow_the_layer_graphs(self, dataset, self_loops):
+        if self_loops:  # a stored loop must add up with the operator's own I
+            dataset.graph = add_self_loops(dataset.graph)
+        seeds = np.flatnonzero(dataset.train_mask)[3:9]
+        for rng_seed in range(3):
+            batch = neighbor_sample(dataset, seeds, [3, 2, 2], seed=rng_seed)
+            assert np.array_equal(batch.loss_rows, np.arange(seeds.size))
+            rows = batch.train_local
+            for layer in (2, 1, 0):
+                g = batch.layer_graphs[layer]
+                assert np.array_equal(batch.layer_rows[layer], rows)
+                assert np.all(np.diff(rows) > 0)
+                reads = np.union1d(rows, np.concatenate([g.neighbors(int(r)) for r in rows]))
+                square = g._sym_norm_op
+                block = batch.layer_blocks[layer]
+                assert block.shape == (rows.size, reads.size)
+                # entry for entry: same columns in the same order, same values
+                for i, r in enumerate(rows):
+                    lo, hi = block.indptr[i], block.indptr[i + 1]
+                    slo, shi = square.indptr[r], square.indptr[r + 1]
+                    assert np.array_equal(reads[block.indices[lo:hi]], square.indices[slo:shi])
+                    assert np.array_equal(block.data[lo:hi], square.data[slo:shi])
+                rows = reads
+            assert np.array_equal(rows, np.arange(batch.num_nodes))  # layer 0 reads every row
+            if self_loops:  # some hop kept a loop, so the merge above was exercised
+                assert any(np.any(np.equal(*g.edge_arrays())) for g in batch.layer_graphs)
+
+    def test_unlayered_batches_record_no_rows(self, dataset):
+        batch = full_batch(dataset)
+        assert batch.layer_rows is None and batch.layer_blocks is None
+        assert batch.loss_rows is batch.train_local
 
 
 def test_full_batch_covers_graph(dataset):
