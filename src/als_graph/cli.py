@@ -53,6 +53,9 @@ def cmd_propagate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = harness.build_config(_load_mapping(args))
+    if args.checkpoint_dir and cfg.repeats > 1:
+        raise ValueError("--checkpoint-dir saves one run's parameters; "
+                         f"it cannot be combined with train.repeats = {cfg.repeats}")
     if cfg.repeats > 1:
         report, _ = harness.run_repeated(cfg)
         result = None
@@ -64,7 +67,7 @@ def cmd_train(args) -> int:
         relevance = out.with_name(out.stem + ".relevance.csv")
         harness.export_relevance(result.refinement, relevance)
         report.final_relevance_path = str(relevance)
-    if args.checkpoint_dir and result is not None:
+    if args.checkpoint_dir:
         harness.save_checkpoint(args.checkpoint_dir, result.params, result.refinement, cfg)
     json_path, csv_path = write_report(report, out)
     print(f"final test accuracy {report.final_test_acc_mean:.4f} "

@@ -12,6 +12,7 @@ File formats
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -323,12 +324,14 @@ def read_matrix_binary(path) -> np.ndarray:
         if elem not in (4, 8):
             raise ValueError(f"{path}: unsupported element size {elem}")
         dtype = "<f8" if elem == 8 else "<f4"
-        data = np.frombuffer(fh.read(rows * cols * elem), dtype=dtype)
-        trailing = fh.read(1)
-    if data.size != rows * cols:
-        raise ValueError(f"{path}: truncated matrix payload")
-    if trailing:
-        raise ValueError(f"{path}: trailing bytes after the matrix payload")
+        # checked against the file before reading, so a forged header allocates nothing
+        expected = rows * cols * elem
+        available = os.fstat(fh.fileno()).st_size - len(header)
+        if available < expected:
+            raise ValueError(f"{path}: truncated matrix payload")
+        if available > expected:
+            raise ValueError(f"{path}: trailing bytes after the matrix payload")
+        data = np.frombuffer(fh.read(expected), dtype=dtype)
     return data.astype(np.float64).reshape(rows, cols)
 
 

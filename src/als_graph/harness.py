@@ -4,6 +4,10 @@ Configs are flat ``section.key = value`` text files (``#`` comments); every
 key has a default, and command-line ``key=value`` overrides win over the
 file. A run is fully determined by its config, including the seed: reports
 from two identical runs are byte-identical.
+
+During training one background thread builds the next epoch's batches
+(``epoch_batches``) while the current epoch trains and evaluates; the
+samplers are pure, so reports are the same as a serial loop's.
 """
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ import dataclasses
 import itertools
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -417,7 +422,14 @@ class TrainingResult:
 
 
 def run_training(cfg: ExperimentConfig) -> TrainingResult:
-    """Full training pipeline for one seed; returns the report plus internals."""
+    """Full training pipeline for one seed; returns the report plus internals.
+
+    A one-thread pool, opened and joined inside this call, runs
+    ``epoch_batches`` for epoch e + 1 while epoch e trains, and never past
+    the last epoch. Each epoch's batches are exactly those of a serial loop,
+    and a sampler error is raised at the epoch whose batches failed, with
+    its own type and message; no thread outlives the call.
+    """
     cfg.validate()
     dataset = build_dataset(cfg)
     if not dataset.train_mask.any() or not dataset.test_mask.any():
@@ -453,36 +465,41 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
     # The last eval forward's (logits, cache) until the next Adam step. With
     # dropout 0 train mode computes the same, so a whole-graph batch uses it.
     reusable = None
-    for epoch in range(cfg.epochs):
-        alpha = float(alpha_at(schedule, epoch))
-        batches = epoch_batches(cfg, dataset, partition, epoch)
-        for j, batch in enumerate(batches):
-            if batch.train_local.size == 0:
-                continue
-            if reusable is not None and _is_whole_graph(batch, dataset):
-                logits, cache = reusable
-            else:
-                dropout_seed = rng_streams.child_seed(cfg.seed, rng_streams.DROPOUT, epoch, j)
-                logits, cache = forward(params, batch, feats[batch.global_ids],
-                                        train_mode=True, seed=dropout_seed)
-            reusable = None
-            breakdown, dtrain, dw = _batch_loss(cfg, dataset, batch, logits, yk, refinement, alpha)
-            if not np.isfinite(breakdown.total):
-                raise RuntimeError(f"training loss diverged (non-finite) at epoch {epoch}")
-            dlogits = np.zeros_like(logits)
-            dlogits[batch.loss_rows] = dtrain
-            wgrads, bgrads = backward(params, cache, dlogits)
-            grads = wgrads + bgrads
-            if refinement is not None:
-                grads.append(dw)
-            try:
-                adam_step(values, grads, state)
-            except ValueError as exc:
-                raise RuntimeError(f"training diverged at epoch {epoch}: {exc}") from None
-        metrics, full_forward = _evaluate_epoch(cfg, dataset, feats, params, refinement, yk,
-                                                batches, alpha)
-        reusable = full_forward if params.dropout == 0 else None
-        records.append(EpochRecord(epoch=epoch, alpha_t=alpha, **metrics))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(epoch_batches, cfg, dataset, partition, 0)
+        for epoch in range(cfg.epochs):
+            alpha = float(alpha_at(schedule, epoch))
+            batches = pending.result()  # re-raises a sampler error at its own epoch
+            if epoch + 1 < cfg.epochs:
+                pending = pool.submit(epoch_batches, cfg, dataset, partition, epoch + 1)
+            for j, batch in enumerate(batches):
+                if batch.train_local.size == 0:
+                    continue
+                if reusable is not None and _is_whole_graph(batch, dataset):
+                    logits, cache = reusable
+                else:
+                    dropout_seed = rng_streams.child_seed(cfg.seed, rng_streams.DROPOUT, epoch, j)
+                    logits, cache = forward(params, batch, feats[batch.global_ids],
+                                            train_mode=True, seed=dropout_seed)
+                reusable = None
+                breakdown, dtrain, dw = _batch_loss(cfg, dataset, batch, logits, yk,
+                                                    refinement, alpha)
+                if not np.isfinite(breakdown.total):
+                    raise RuntimeError(f"training loss diverged (non-finite) at epoch {epoch}")
+                dlogits = np.zeros_like(logits)
+                dlogits[batch.loss_rows] = dtrain
+                wgrads, bgrads = backward(params, cache, dlogits)
+                grads = wgrads + bgrads
+                if refinement is not None:
+                    grads.append(dw)
+                try:
+                    adam_step(values, grads, state)
+                except ValueError as exc:
+                    raise RuntimeError(f"training diverged at epoch {epoch}: {exc}") from None
+            metrics, full_forward = _evaluate_epoch(cfg, dataset, feats, params, refinement, yk,
+                                                    batches, alpha)
+            reusable = full_forward if params.dropout == 0 else None
+            records.append(EpochRecord(epoch=epoch, alpha_t=alpha, **metrics))
 
     stats = bias_stats([b for b in batches if b.train_local.size], dataset)
     report = ExperimentReport(

@@ -26,12 +26,17 @@ def test_every_traced_name_resolves():
 
 
 def test_traced_neighbor_run_reports_what_an_untraced_run_does():
+    """Batches are built on a second thread, yet traced counts repeat exactly."""
     mapping = {**workloads.config_mapping("neighbor", 3, {}), "train.epochs": "2"}
     cfg = harness.build_config(mapping)
     plain = worker.timed_run(cfg)
-    tracer = tracing.Tracer()
-    traced = worker.timed_run(cfg, tracer)
-    assert traced["digest"] == plain["digest"]
-    assert tracer.counts["graph.spmm.calls"] > 0
-    assert tracer.counts["sampling.batches.count"] == 8  # 200 seeds in 64-seed batches, 2 epochs
+    snapshots = []
+    for _ in range(2):
+        tracer = tracing.Tracer()
+        traced = worker.timed_run(cfg, tracer)
+        assert traced["digest"] == plain["digest"]
+        snapshots.append(tracing.count_snapshot(tracer))
+    assert snapshots[0] == snapshots[1]
+    assert snapshots[0]["graph.spmm.calls"] > 0
+    assert snapshots[0]["sampling.batches.count"] == 8  # 200 seeds in 64-seed batches, 2 epochs
     assert harness.forward is model.forward  # instrumentation was undone

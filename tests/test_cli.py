@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from als_graph import harness
 from als_graph.cli import main
 from als_graph.data import read_matrix_binary
 
@@ -56,6 +57,18 @@ def test_train_accepts_overrides(tmp_path, config_path):
     assert len(doc["per_epoch"]) == 1
     assert doc["config"]["loss.mode"] == "plain"
     assert doc["final_relevance_path"] is None
+
+
+def test_train_rejects_checkpoint_dir_with_repeats(tmp_path, config_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "run_training", None)  # any training call would fail
+    out = tmp_path / "r.json"
+    code = main(["train", "--config", str(config_path), "--out", str(out),
+                 "--checkpoint-dir", str(tmp_path / "ckpt"), "train.repeats=2"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert "--checkpoint-dir" in err["message"] and "train.repeats" in err["message"]
+    assert not out.exists() and not (tmp_path / "ckpt").exists()
 
 
 def test_propagate_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
@@ -168,6 +170,19 @@ class TestMatrixPersistence:
         with open(path, "ab") as fh:
             fh.write(b"\0")
         with pytest.raises(ValueError, match="m.bin: trailing bytes"):
+            read_matrix_binary(path)
+
+    def test_forged_header_size_rejected_before_reading(self, tmp_path):
+        # 4e9 x 4e9 float64 values claimed by a 16-byte file
+        path = tmp_path / "m.bin"
+        path.write_bytes(struct.pack("<4sIII", b"ALSM", 8, 4_000_000_000, 4_000_000_000))
+        with pytest.raises(ValueError, match="m.bin: truncated matrix payload"):
+            read_matrix_binary(path)
+
+    def test_short_payload_rejected(self, tmp_path, rng):
+        path = write_matrix_binary(rng.standard_normal((2, 3)), tmp_path / "m.bin")
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="m.bin: truncated matrix payload"):
             read_matrix_binary(path)
 
     def test_bad_magic_rejected(self, tmp_path):

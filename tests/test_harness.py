@@ -3,12 +3,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from als_graph import harness
+from als_graph import rng as rng_streams
 from als_graph.data import SbmParams, generate_sbm
 from als_graph.harness import (
     ExperimentConfig,
@@ -29,9 +31,10 @@ from als_graph.harness import (
     run_training,
     save_checkpoint,
 )
+from als_graph.model import adam_step, backward, forward, init_model, init_opt_state
 from als_graph.propagation import PropagationConfig, init_label_matrix, propagate
 from als_graph.reporting import load_report, report_to_dict, write_report
-from als_graph.smoothing import RefinementMatrix, refine_soft_label
+from als_graph.smoothing import RefinementMatrix, alpha_at, init_refinement, refine_soft_label
 
 
 def small_cfg(**kwargs) -> ExperimentConfig:
@@ -277,6 +280,110 @@ class TestEvaluationForwards:
             assert min(per_epoch) > 1
             assert len(calls[True]) == sum(per_epoch)
             assert len(calls[False]) == sum(per_epoch) + cfg.epochs
+
+
+def serial_training(cfg: ExperimentConfig):
+    """``run_training``'s loop with each epoch's batches built on this thread.
+
+    Covers the configs ``TestBatchPrefetch`` uses: als loss with propagation
+    and refinement, and dropout above 0 (so no forward is reused). Returns
+    the per-epoch metrics and the final parameter values.
+    """
+    assert cfg.loss_mode == "als" and cfg.dropout > 0
+    dataset = harness.build_dataset(cfg)
+    yk = propagate(dataset.graph, init_label_matrix(dataset),
+                   PropagationConfig(cfg.beta, cfg.k_steps, cfg.self_loops))
+    feats = dataset.features
+    dims = [feats.shape[1]] + [cfg.hidden] * (cfg.depth - 1) + [dataset.num_classes]
+    params = init_model(cfg.arch, dims, cfg.dropout,
+                        rng_streams.child_seed(cfg.seed, rng_streams.MODEL_INIT))
+    refinement = init_refinement(dataset.num_classes,
+                                 rng_streams.child_seed(cfg.seed, rng_streams.REFINEMENT_INIT))
+    values = params.weights + params.biases + [refinement.w]
+    state = init_opt_state(values, cfg.lr)
+    partition = harness.build_partition(cfg, dataset)
+    records = []
+    for epoch in range(cfg.epochs):
+        alpha = float(alpha_at(cfg.pacing_schedule(), epoch))
+        batches = epoch_batches(cfg, dataset, partition, epoch)
+        for j, batch in enumerate(batches):
+            if batch.train_local.size == 0:
+                continue
+            logits, cache = forward(params, batch, feats[batch.global_ids], train_mode=True,
+                                    seed=rng_streams.child_seed(cfg.seed, rng_streams.DROPOUT,
+                                                                epoch, j))
+            _, dtrain, dw = harness._batch_loss(cfg, dataset, batch, logits, yk, refinement,
+                                                alpha)
+            dlogits = np.zeros_like(logits)
+            dlogits[batch.loss_rows] = dtrain
+            wgrads, bgrads = backward(params, cache, dlogits)
+            adam_step(values, wgrads + bgrads + [dw], state)
+        metrics, _ = harness._evaluate_epoch(cfg, dataset, feats, params, refinement, yk,
+                                             batches, alpha)
+        records.append(metrics)
+    return records, values
+
+
+class TestBatchPrefetch:
+    """``run_training`` builds epoch e + 1's batches on one worker while epoch e trains."""
+
+    @staticmethod
+    def record_epochs(monkeypatch, fail_at: int | None = None) -> list[int]:
+        """Epochs passed to ``harness.epoch_batches``; raises ``boom`` at ``fail_at``."""
+        epochs: list[int] = []
+        real = harness.epoch_batches
+
+        def recording(cfg, dataset, partition, epoch):
+            epochs.append(epoch)
+            if epoch == fail_at:
+                raise ValueError("boom")
+            return real(cfg, dataset, partition, epoch)
+        monkeypatch.setattr(harness, "epoch_batches", recording)
+        return epochs
+
+    def test_one_call_per_epoch_in_order(self, monkeypatch):
+        epochs = self.record_epochs(monkeypatch)
+        cfg = small_cfg(epochs=5)
+        run_training(cfg)
+        assert epochs == list(range(cfg.epochs))
+
+    def test_sampler_error_surfaces_at_its_epoch(self, monkeypatch):
+        epochs = self.record_epochs(monkeypatch, fail_at=2)
+        steps: list[int] = []
+        real_step = harness.adam_step
+
+        def counting(values, grads, state):
+            steps.append(1)
+            return real_step(values, grads, state)
+        monkeypatch.setattr(harness, "adam_step", counting)
+        with pytest.raises(ValueError) as excinfo:
+            run_training(small_cfg(sampler_kind="full", epochs=5))
+        assert excinfo.type is ValueError and str(excinfo.value) == "boom"
+        assert epochs == [0, 1, 2]
+        assert len(steps) == 2  # one whole-graph batch in each of epochs 0 and 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_thread_outlives_the_run(self):
+        before = threading.active_count()
+        run_training(small_cfg(epochs=3))
+        assert threading.active_count() == before
+        with pytest.raises(RuntimeError, match="diverged"):
+            run_training(small_cfg(lr=1e155, epochs=5, dropout=0.0))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("extra", [
+        pytest.param(dict(sampler_kind="neighbor", fanouts=(3, 3), depth=2, seeds_per_batch=8),
+                     id="neighbor"),
+        pytest.param(dict(sampler_kind="cluster", num_parts=3, parts_per_batch=1), id="cluster"),
+    ])
+    def test_reports_equal_a_serial_loop(self, extra):
+        cfg = small_cfg(dropout=0.5, epochs=3, seed=4, **extra)
+        result = run_training(cfg)
+        records, values = serial_training(cfg)
+        assert [{k: getattr(r, k) for k in m} for r, m in
+                zip(result.report.per_epoch, records, strict=True)] == records
+        final = result.params.weights + result.params.biases + [result.refinement.w]
+        assert all(np.array_equal(a, b) for a, b in zip(final, values, strict=True))
 
 
 class TestLabelInput:
