@@ -168,11 +168,11 @@ def induced_subgraph(g: CsrGraph, nodes) -> tuple[CsrGraph, np.ndarray]:
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.ndim != 1 or nodes.size == 0:
         raise ValueError("node set must be a nonempty 1-d sequence")
+    if nodes.size == g.num_nodes and np.array_equal(nodes, np.arange(g.num_nodes)):
+        return g, nodes.copy()  # identity order: ids are in range and unique
     if nodes.min() < 0 or nodes.max() >= g.num_nodes:
         raise ValueError("node id out of range")
     if np.unique(nodes).size != nodes.size:
         raise ValueError("duplicate node in node set")
-    if nodes.size == g.num_nodes and np.array_equal(nodes, np.arange(g.num_nodes)):
-        return g, nodes.copy()
     sub = g._scipy[nodes][:, nodes].sorted_indices()
     return CsrGraph(nodes.size, sub.indptr, sub.indices), nodes.copy()

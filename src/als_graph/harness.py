@@ -671,11 +671,17 @@ def save_checkpoint(directory, params: ModelParams, refinement: RefinementMatrix
 
 def load_checkpoint(directory) -> tuple[ModelParams, RefinementMatrix | None]:
     directory = Path(directory)
-    with open(directory / "manifest.json", encoding="utf-8") as fh:
+    path = directory / "manifest.json"
+    with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    weights = [read_matrix_binary(directory / name) for name in manifest["weights"]]
-    biases = [read_matrix_binary(directory / name).ravel() for name in manifest["biases"]]
-    params = ModelParams(manifest["arch"], weights, biases, manifest["dropout"])
+    try:
+        arch, dropout, weight_names, bias_names = (
+            manifest[key] for key in ("arch", "dropout", "weights", "biases"))
+    except KeyError as exc:
+        raise ValueError(f"{path}: manifest has no {exc.args[0]!r} key") from None
+    weights = [read_matrix_binary(directory / name) for name in weight_names]
+    biases = [read_matrix_binary(directory / name).ravel() for name in bias_names]
+    params = ModelParams(arch, weights, biases, dropout)
     refinement = None
     if manifest.get("refinement"):
         refinement = RefinementMatrix(read_matrix_binary(directory / manifest["refinement"]))

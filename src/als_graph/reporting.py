@@ -106,4 +106,8 @@ def write_report(report: ExperimentReport, path) -> tuple[Path, Path]:
 
 def load_report(path) -> ExperimentReport:
     with open(path, encoding="utf-8") as fh:
-        return _report_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return _report_from_dict(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: report has no {exc.args[0]!r} key") from None

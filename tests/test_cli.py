@@ -162,6 +162,24 @@ def test_export_relevance_from_checkpoint(tmp_path, config_path):
     assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-9
 
 
+def test_export_relevance_rejects_manifest_without_weights(tmp_path, config_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    main(["train", "--config", str(config_path), "--out", str(tmp_path / "r.json"),
+          "--checkpoint-dir", str(ckpt)])
+    manifest = ckpt / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    del doc["weights"]
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "relevance.csv"
+    code = main(["export-relevance", "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert err["message"] == f"{manifest}: manifest has no 'weights' key"
+    assert not out.exists()
+
+
 def test_bad_config_reports_machine_readable_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("loss.mode = warp\n")

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from als_graph import data
+from als_graph import rng as rng_streams
 from als_graph.data import (
+    Dataset,
     SbmParams,
     generate_sbm,
     load_dataset,
@@ -15,10 +19,86 @@ from als_graph.data import (
     write_features,
     write_matrix_binary,
 )
+from als_graph.graph import build_csr
 
 
 def scipy_adj(dataset):
     return dataset.graph._scipy
+
+
+def dense_sbm(params: SbmParams) -> Dataset:
+    """The one-shot generator: a dense probability matrix against one (n, n) draw."""
+    gen = rng_streams.stream(params.seed, rng_streams.SBM)
+    b, m = params.blocks, params.nodes_per_block
+    n = b * m
+    labels = np.repeat(np.arange(b, dtype=np.int64), m)
+
+    prob = np.where(labels[:, None] == labels[None, :], params.p_in, params.p_out)
+    coin = gen.random((n, n))
+    edges = np.argwhere(np.triu(coin < prob, k=1))
+    graph = build_csr(edges, n, symmetrize=True)
+
+    means = np.zeros((b, params.feature_dim))
+    means[np.arange(b), np.arange(b) % params.feature_dim] = 1.0
+    features = means[labels] + params.feature_noise * gen.standard_normal((n, params.feature_dim))
+
+    train = np.zeros(n, dtype=bool)
+    val = np.zeros(n, dtype=bool)
+    test = np.zeros(n, dtype=bool)
+    n_train = int(round(m * params.train_fraction))
+    n_val = min(int(round(m * params.val_fraction)), m - n_train)
+    for block in range(b):
+        perm = block * m + gen.permutation(m)
+        train[perm[:n_train]] = True
+        val[perm[n_train : n_train + n_val]] = True
+        test[perm[n_train + n_val :]] = True
+    return Dataset(graph, features, labels, b, train, val, test)
+
+
+def assert_same_dataset(a: Dataset, b: Dataset) -> None:
+    assert a.graph.num_nodes == b.graph.num_nodes
+    assert np.array_equal(a.graph.row_offsets, b.graph.row_offsets)
+    assert np.array_equal(a.graph.col_indices, b.graph.col_indices)
+    assert a.features.tobytes() == b.features.tobytes()
+    assert np.array_equal(a.labels, b.labels)
+    assert a.num_classes == b.num_classes
+    for role in ("train", "val", "test"):
+        assert np.array_equal(getattr(a, f"{role}_mask"), getattr(b, f"{role}_mask"))
+
+
+SBM_LAYOUTS = [  # blocks, nodes_per_block, p_in, p_out
+    (3, 37, 0.3, 0.05),
+    (5, 12, 1.0, 0.0),
+    (1, 60, 0.2, 0.9),
+    (7, 13, 0.0, 1.0),
+    (4, 1, 1.0, 1.0),
+    (2, 50, 0.0, 0.0),
+]
+
+
+class TestChunkedSbm:
+    # None keeps the 32 MiB budget (one chunk here); the other row counts do
+    # not divide the block sizes, so chunks start and end inside blocks
+    @pytest.mark.parametrize("rows", [None, 1, 5, 17, 36])
+    @pytest.mark.parametrize("layout", SBM_LAYOUTS)
+    def test_equals_dense_draw(self, monkeypatch, layout, rows):
+        b, m, p_in, p_out = layout
+        if rows is not None:
+            monkeypatch.setattr(data, "SBM_CHUNK_BYTES", 8 * b * m * rows)
+        params = SbmParams(blocks=b, nodes_per_block=m, p_in=p_in, p_out=p_out, seed=b * m)
+        assert_same_dataset(generate_sbm(params), dense_sbm(params))
+
+    def test_peak_memory_is_bounded_at_6000_nodes(self):
+        # dense_sbm peaks at 684 MB here: two float64 and two bool 6000 x 6000 arrays
+        params = SbmParams(blocks=8, nodes_per_block=750, p_in=0.05, p_out=0.002, seed=1)
+        tracemalloc.start()
+        try:
+            d = generate_sbm(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.num_nodes == 6000
+        assert peak < 100e6
 
 
 class TestGenerateSbm:

@@ -128,6 +128,16 @@ class TestInducedSubgraph:
         assert sub is g
         assert gids.tolist() == list(range(7))
 
+    def test_full_node_set_skips_the_duplicate_sort(self, rng, monkeypatch):
+        _, edges = random_undirected(rng, 7, 0.5)
+        g = build_csr(edges, 7, symmetrize=True)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique called on the identity node set")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+        assert induced_subgraph(g, np.arange(7))[0] is g
+
     def test_single_node_without_self_loop(self):
         g = build_csr([(0, 1)], 2, symmetrize=True)
         sub, _ = induced_subgraph(g, [0])
@@ -174,6 +184,8 @@ class TestInducedSubgraph:
             induced_subgraph(g, [0, 0])
         with pytest.raises(ValueError, match="out of range"):
             induced_subgraph(g, [0, 5])
+        with pytest.raises(ValueError, match="duplicate"):
+            induced_subgraph(g, [1, 1])  # as many ids as nodes, not the identity
 
 
 def test_add_self_loops_idempotent_structure():

@@ -455,6 +455,17 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         assert np.array_equal(refinement.w, result.refinement.w)
 
+    @pytest.mark.parametrize("key", ["arch", "dropout", "weights", "biases"])
+    def test_manifest_missing_key_names_file_and_key(self, tmp_path, key):
+        result = run_training(small_cfg(epochs=1))
+        save_checkpoint(tmp_path, result.params, result.refinement)
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc[key]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"manifest\.json: manifest has no '{key}' key"):
+            load_checkpoint(tmp_path)
+
 
 class TestReporting:
     def test_csv_has_header_plus_row_per_epoch(self, tmp_path):
@@ -480,3 +491,17 @@ class TestReporting:
         assert report_to_dict(loaded) == report_to_dict(report)
         for a, b in zip(loaded.per_epoch, report.per_epoch):
             assert a == b
+
+    @pytest.mark.parametrize("drop", [("config",), ("per_epoch",), ("bias_stats", "std"),
+                                      ("per_epoch", 0, "test_acc")])
+    def test_missing_key_names_file_and_key(self, tmp_path, drop):
+        report = run_experiment(small_cfg(epochs=1))
+        path, _ = write_report(report, tmp_path / "r.json")
+        doc = json.loads(path.read_text())
+        parent = doc
+        for step in drop[:-1]:
+            parent = parent[step]
+        del parent[drop[-1]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"r\.json: report has no '{drop[-1]}' key"):
+            load_report(path)
