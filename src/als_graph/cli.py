@@ -35,6 +35,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_propagate(args) -> int:
+    if args.num_nodes < 0:
+        raise ValueError(f"--num-nodes must be non-negative (0 infers it), got {args.num_nodes}")
     cfg = (harness.build_config(harness.load_config_file(args.config)) if args.config
            else harness.ExperimentConfig())
     beta = cfg.beta if args.beta is None else args.beta
@@ -77,6 +79,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_analyze_bias(args) -> int:
+    if args.epochs < 1:
+        raise ValueError(f"--epochs must be at least 1, got {args.epochs}")
     cfg = harness.build_config(_load_mapping(args))
     dataset = harness.build_dataset(cfg)
     partition = harness.build_partition(cfg, dataset)
@@ -88,7 +92,7 @@ def cmd_analyze_bias(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("class,mean,std\n")
         for c in range(dataset.num_classes):
-            fh.write(f"{c},{stats.mean[c]!r},{stats.std[c]!r}\n")
+            fh.write(f"{c},{float(stats.mean[c])!r},{float(stats.std[c])!r}\n")
     print(f"wrote per-class batch fraction stats over {stats.batch_count} batches to {args.out}")
     return 0
 

@@ -157,13 +157,25 @@ def normalized_spmm(g: CsrGraph, m: np.ndarray, mode: str) -> np.ndarray:
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
+def _gather_rows(g: CsrGraph, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The neighbor lists of ``rows``, concatenated in row order.
+
+    Returns (source, neighbor, position within its row) per entry.
+    """
+    starts = g.row_offsets[rows]
+    lengths = g.row_offsets[rows + 1] - starts
+    within = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return np.repeat(rows, lengths), g.col_indices[np.repeat(starts, lengths) + within], within
+
+
 def induced_subgraph(g: CsrGraph, nodes) -> tuple[CsrGraph, np.ndarray]:
     """Subgraph on ``nodes`` keeping exactly the edges with both endpoints inside.
 
     Local ids follow the order of ``nodes``; the returned index array maps
     local id -> global id. When ``nodes`` is ``0 .. n-1`` in order the
     subgraph is ``g`` itself (graphs are immutable), so operators cached on
-    ``g`` carry over.
+    ``g`` carry over. Otherwise only the CSR rows of ``nodes`` are read, so
+    the cost follows the subgraph's rows, not ``g``'s size.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.ndim != 1 or nodes.size == 0:
@@ -172,7 +184,16 @@ def induced_subgraph(g: CsrGraph, nodes) -> tuple[CsrGraph, np.ndarray]:
         return g, nodes.copy()  # identity order: ids are in range and unique
     if nodes.min() < 0 or nodes.max() >= g.num_nodes:
         raise ValueError("node id out of range")
-    if np.unique(nodes).size != nodes.size:
+    local_of = np.argsort(nodes, kind="stable")
+    ordered = nodes[local_of]
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("duplicate node in node set")
-    sub = g._scipy[nodes][:, nodes].sorted_indices()
-    return CsrGraph(nodes.size, sub.indptr, sub.indices), nodes.copy()
+    _, nbrs, _ = _gather_rows(g, nodes)
+    at = np.minimum(np.searchsorted(ordered, nbrs), nodes.size - 1)
+    inside = ordered[at] == nbrs
+    rows = np.repeat(np.arange(nodes.size), g.degrees[nodes])[inside]
+    # rows arrive grouped; sorting the codes puts each row's local columns in order
+    codes = np.sort(rows * nodes.size + local_of[at[inside]])
+    offsets = np.zeros(nodes.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nodes.size), out=offsets[1:])
+    return CsrGraph(nodes.size, offsets, codes % nodes.size), nodes.copy()

@@ -6,14 +6,13 @@ distinct (epoch, batch) pairs may be built concurrently.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .data import Dataset
-from .graph import CsrGraph, build_csr, induced_subgraph
+from .graph import CsrGraph, _gather_rows, build_csr, induced_subgraph
 from .rng import stream
 
 __all__ = [
@@ -90,6 +89,9 @@ class Batch:
 class Partition:
     part_of: np.ndarray
     num_parts: int
+    # every node ordered by part (ascending id within a part), and each part's slice of it
+    _by_part: np.ndarray = field(init=False, repr=False, compare=False)
+    _bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         part_of = np.ascontiguousarray(self.part_of, dtype=np.int64)
@@ -98,20 +100,15 @@ class Partition:
             raise ValueError("partition must have at least one part")
         if part_of.size == 0 or part_of.min() < 0 or part_of.max() >= self.num_parts:
             raise ValueError("every node must belong to a valid part")
+        bounds = np.zeros(self.num_parts + 1, dtype=np.int64)
+        np.cumsum(np.bincount(part_of, minlength=self.num_parts), out=bounds[1:])
+        object.__setattr__(self, "_by_part", np.argsort(part_of, kind="stable"))
+        object.__setattr__(self, "_bounds", bounds)
 
     def nodes_of(self, parts) -> np.ndarray:
-        return np.flatnonzero(np.isin(self.part_of, parts))
-
-
-def _gather_rows(g: CsrGraph, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The neighbor lists of ``rows``, concatenated in row order.
-
-    Returns (source, neighbor, position within its row) per entry.
-    """
-    starts = g.row_offsets[rows]
-    lengths = g.row_offsets[rows + 1] - starts
-    within = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return np.repeat(rows, lengths), g.col_indices[np.repeat(starts, lengths) + within], within
+        """The nodes of ``parts``, ascending; the cost follows their count, not n."""
+        chosen = [self._by_part[self._bounds[p] : self._bounds[p + 1]] for p in np.unique(parts)]
+        return np.sort(np.concatenate(chosen))
 
 
 def _sym_norm_rows(g: CsrGraph, rows: np.ndarray) -> sp.csr_array:
@@ -137,81 +134,86 @@ def _sym_norm_rows(g: CsrGraph, rows: np.ndarray) -> sp.csr_array:
     return block
 
 
-def _bfs_distances(g: CsrGraph, sources: np.ndarray) -> np.ndarray:
-    """Hop distance from the source set; unreached nodes get ``num_nodes``."""
-    dist = np.full(g.num_nodes, g.num_nodes, dtype=np.int64)
-    dist[sources] = 0
-    frontier = np.asarray(sources, dtype=np.int64)
-    level = 0
+# balanced label-propagation rounds after growth; each costs one pass over the edges
+REFINE_ROUNDS = 3
+
+
+def _bfs_order(g: CsrGraph, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frontier BFS from ``sources`` at once: every node in visit order, and its source.
+
+    Each level is visited in id order. A node reached from several sources
+    in the same level takes the lowest source index. Unreached nodes come
+    last, in id order, with source ``sources.size``.
+    """
+    unreached, stride = sources.size, sources.size + 1
+    owner = np.full(g.num_nodes, unreached, dtype=np.int64)
+    owner[sources] = np.arange(sources.size)
+    levels = [frontier := sources]
     while frontier.size:
-        _, nbrs, _ = _gather_rows(g, frontier)
-        level += 1
-        fresh = np.unique(nbrs[dist[nbrs] > level])
-        dist[fresh] = level
-        frontier = fresh
-    return dist
+        src, nbrs, _ = _gather_rows(g, frontier)
+        reached = np.sort((nbrs * stride + owner[src])[owner[nbrs] == unreached])
+        frontier, via = np.divmod(reached, stride)
+        first = np.diff(frontier, prepend=-1) != 0
+        frontier = frontier[first]
+        owner[frontier] = via[first]
+        levels.append(frontier)
+    levels.append(np.flatnonzero(owner == unreached))
+    return np.concatenate(levels), owner
+
+
+def _refine(g: CsrGraph, part: np.ndarray, num_parts: int) -> None:
+    """``REFINE_ROUNDS`` rounds of balanced label propagation, in place.
+
+    Each node picks the part holding most of its neighbours (ties to the
+    lowest part id) if it beats its own. Movers from part a to b are paired,
+    highest gain first, with movers from b to a; only paired movers move, so
+    part sizes never change (Ugander & Backstrom, WSDM 2013). A node whose
+    neighbours all share its part never moves, nor does a component inside
+    one part.
+    """
+    n = g.num_nodes
+    ones, nodes = np.ones(n), np.arange(n + 1)
+    for _ in range(REFINE_ROUNDS):
+        counts = g._scipy @ sp.csr_array((ones, part, nodes), shape=(n, num_parts))
+        counts.sort_indices()
+        row = np.repeat(nodes[:-1], np.diff(counts.indptr))
+        own, top = np.zeros(n), np.zeros(n)
+        mine = counts.indices == part[row]
+        own[row[mine]] = counts.data[mine]
+        filled = np.flatnonzero(np.diff(counts.indptr))
+        top[filled] = np.maximum.reduceat(counts.data, counts.indptr[filled])
+        pick = np.flatnonzero((counts.data == top[row]) & (counts.data > own[row]))
+        pick = pick[np.diff(row[pick], prepend=-1) != 0]  # the lowest part id per row
+        movers, to = row[pick], counts.indices[pick].astype(np.int64)
+        pair = part[movers] * num_parts + to
+        rank = np.lexsort((own[movers] - counts.data[pick], pair))
+        movers, to, pair = movers[rank], to[rank], pair[rank]
+        back = to * num_parts + part[movers]
+        paired = np.searchsorted(pair, back, "right") - np.searchsorted(pair, back)
+        keep = np.arange(pair.size) - np.searchsorted(pair, pair) < paired
+        part[movers[keep]] = to[keep]
 
 
 def partition_clusters(g: CsrGraph, num_parts: int, seed: int) -> Partition:
-    """Deterministic BFS region growing into near-equal parts.
+    """Deterministic partition into local parts whose sizes differ by at most one.
 
-    The first source is drawn degree-weighted; the rest are placed
-    farthest-first so that well-separated regions (e.g. distinct connected
-    components) each receive their own source. Parts fill exact quotas that
-    differ by at most one node, so on a homophilous graph each part stays
-    dominated by a few label communities.
+    Seed: the midpoints of quota-sized chunks of a BFS order from one
+    degree-weighted random source. Grow: one BFS from all seeds at once gives
+    each node the cell of its nearest seed, and nodes sorted by (cell, BFS
+    position) are cut into the quotas. Refine: ``_refine``. No step loops
+    over nodes in Python, so the cost does not grow with ``num_parts``.
     """
     n = g.num_nodes
     if not 1 <= num_parts <= n:
         raise ValueError(f"num_parts must lie in [1, {n}]")
-    gen = stream(seed)
     quota = np.full(num_parts, n // num_parts, dtype=np.int64)
     quota[: n % num_parts] += 1
-
-    weights = g.degrees + 1.0
-    sources = [int(gen.choice(n, p=weights / weights.sum()))]
-    dist = _bfs_distances(g, np.asarray(sources))
-    for _ in range(1, num_parts):
-        far = np.flatnonzero(dist == dist.max())
-        pick = int(far[gen.integers(far.size)]) if far.size > 1 else int(far[0])
-        sources.append(pick)
-        np.minimum(dist, _bfs_distances(g, np.asarray([pick])), out=dist)
-
-    part = np.full(n, -1, dtype=np.int64)
-    size = np.zeros(num_parts, dtype=np.int64)
-    queues = [deque([s]) for s in sources]
-    for p, s in enumerate(sources):
-        part[s] = p
-        size[p] = 1
-    remaining = n - num_parts
-    cursor = 0
-    while remaining:
-        for p in range(num_parts):
-            if size[p] >= quota[p]:
-                continue
-            if not queues[p]:
-                while cursor < n and part[cursor] >= 0:
-                    cursor += 1
-                if cursor >= n:
-                    continue
-                part[cursor] = p
-                size[p] += 1
-                remaining -= 1
-                queues[p].append(cursor)
-                if not remaining:
-                    break
-                continue
-            u = queues[p].popleft()
-            for v in g.neighbors(u):
-                if part[v] < 0:
-                    if size[p] >= quota[p]:
-                        break
-                    part[v] = p
-                    size[p] += 1
-                    remaining -= 1
-                    queues[p].append(int(v))
-            if not remaining:
-                break
+    root = stream(seed).choice(n, p=(g.degrees + 1.0) / (g.nnz + n))  # degree-weighted
+    order, _ = _bfs_order(g, np.array([root]))
+    order, cell = _bfs_order(g, order[np.cumsum(quota) - quota + quota // 2])
+    part = np.empty(n, dtype=np.int64)
+    part[order[np.argsort(cell[order], kind="stable")]] = np.repeat(np.arange(num_parts), quota)
+    _refine(g, part, num_parts)
     return Partition(part, num_parts)
 
 

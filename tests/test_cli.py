@@ -113,6 +113,18 @@ def test_propagate_rejects_edge_id_beyond_num_nodes(tmp_path, capsys):
     assert not (tmp_path / "yk.bin").exists()
 
 
+def test_propagate_rejects_negative_num_nodes(tmp_path, capsys):
+    (tmp_path / "e.txt").write_text("0\t1\n")
+    (tmp_path / "y.csv").write_text("0,1\n")
+    code = main(["propagate", "--graph", str(tmp_path / "e.txt"), "--labels",
+                 str(tmp_path / "y.csv"), "--out", str(tmp_path / "yk.bin"), "--num-nodes", "-3"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert "--num-nodes" in err["message"]
+    assert not (tmp_path / "yk.bin").exists()
+
+
 def test_analyze_bias_csv(tmp_path, config_path):
     out = tmp_path / "bias.csv"
     code = main(["analyze-bias", "--config", str(config_path), "--out", str(out),
@@ -121,6 +133,22 @@ def test_analyze_bias_csv(tmp_path, config_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "class,mean,std"
     assert len(lines) == 4
+    for c, line in enumerate(lines[1:]):
+        fields = line.split(",")
+        assert int(fields[0]) == c
+        assert all(0.0 <= float(x) <= 1.0 for x in fields[1:])
+
+
+@pytest.mark.parametrize("epochs", ["0", "-2"])
+def test_analyze_bias_rejects_epochs_below_one(tmp_path, config_path, capsys, epochs):
+    out = tmp_path / "bias.csv"
+    code = main(["analyze-bias", "--config", str(config_path), "--out", str(out),
+                 "--epochs", epochs])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert "--epochs" in err["message"]
+    assert not out.exists()
 
 
 def test_ablate_writes_summary(tmp_path, config_path):

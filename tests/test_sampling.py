@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+import time
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from als_graph import sampling
 from als_graph.data import SbmParams, generate_sbm, one_hot
-from als_graph.graph import add_self_loops
+from als_graph.graph import add_self_loops, build_csr
 from als_graph.sampling import (
     cluster_batches,
     full_batch,
@@ -62,6 +67,113 @@ class TestPartition:
             partition_clusters(dataset.graph, dataset.num_nodes + 1, seed=0)
 
 
+def planted_graph(blocks: int, per_block: int, draws: int, seed: int = 0):
+    """Blocks of consecutive nodes; each draw links u to its own block w.p. 0.9, else anywhere."""
+    n = blocks * per_block
+    gen = np.random.default_rng(seed)
+    u = gen.integers(n, size=draws)
+    near = gen.random(draws) < 0.9
+    v = np.where(near, u // per_block * per_block + gen.integers(per_block, size=draws),
+                 gen.integers(n, size=draws))
+    keep = u != v
+    return build_csr(np.stack([u[keep], v[keep]], axis=1), n, symmetrize=True), np.arange(n) // per_block
+
+
+def scattered_components():
+    """Paths, stars and cliques of 1-9 nodes with shuffled ids (91 components, 40 isolated)."""
+    gen = np.random.default_rng(3)
+    sizes = np.concatenate([np.ones(40, dtype=np.int64), gen.integers(2, 10, size=51)])
+    ids = gen.permutation(int(sizes.sum()))
+    edges, start = [], 0
+    for i, size in enumerate(sizes):
+        nodes = ids[start : start + size]
+        start += size
+        if size > 1:
+            kind = i % 3
+            if kind == 0:
+                edges += list(zip(nodes[:-1], nodes[1:]))
+            elif kind == 1:
+                edges += [(nodes[0], v) for v in nodes[1:]]
+            else:
+                edges += [(a, b) for j, a in enumerate(nodes) for b in nodes[j + 1 :]]
+    return build_csr(edges, ids.size, symmetrize=True), sizes
+
+
+class TestPartitionAtScale:
+    """The three-step partitioner: exact quotas, whole components, locality and cost."""
+
+    @pytest.mark.parametrize("parts", [2, 64, None])
+    def test_exact_quotas_with_isolated_nodes_and_many_components(self, parts):
+        g, sizes = scattered_components()
+        assert sizes.size > 64 and (g.degrees == 0).sum() == 40  # oracle preconditions
+        parts = parts or g.num_nodes
+        p = partition_clusters(g, parts, seed=4)
+        counts = np.bincount(p.part_of, minlength=parts)
+        assert counts.max() - counts.min() <= 1
+        assert np.array_equal(counts, np.sort(counts)[::-1])  # the larger quotas come first
+
+    def test_components_matching_the_quotas_become_the_parts(self):
+        # 12 trees of 25 nodes each on consecutive ids, every one a different shape
+        gen = np.random.default_rng(5)
+        edges = [(25 * c + i, 25 * c + int(gen.integers(i))) for c in range(12) for i in range(1, 25)]
+        g = build_csr(edges, 300, symmetrize=True)
+        n_comp, comp = connected_components(g._scipy, directed=False)
+        assert n_comp == 12
+        for seed in range(4):
+            p = partition_clusters(g, 12, seed=seed)
+            for c in range(n_comp):
+                assert np.unique(p.part_of[comp == c]).size == 1
+
+    def test_refinement_keeps_sizes_and_whole_components(self):
+        g, _ = scattered_components()
+        _, comp = connected_components(g._scipy, directed=False)
+        gen = np.random.default_rng(1)
+        part = gen.integers(8, size=g.num_nodes)
+        part[comp == comp[np.argmax(g.degrees)]] = 3  # one whole component inside part 3
+        whole = np.array([np.unique(part[comp == c]).size == 1 for c in range(comp.max() + 1)])
+        before = part.copy()
+        sampling._refine(g, part, 8)
+        assert not np.array_equal(part, before)  # the test exercises some moves
+        assert np.array_equal(np.bincount(part, minlength=8), np.bincount(before, minlength=8))
+        kept = whole[comp]
+        assert np.array_equal(part[kept], before[kept])
+
+    def test_same_seed_same_partition(self):
+        g, _ = planted_graph(8, 250, 10_000)
+        a = partition_clusters(g, 16, seed=11)
+        assert np.array_equal(a.part_of, partition_clusters(g, 16, seed=11).part_of)
+        assert not np.array_equal(a.part_of, partition_clusters(g, 16, seed=12).part_of)
+
+    def test_locality_floor_on_a_planted_graph(self):
+        g, labels = planted_graph(8, 250, 10_000)
+        for seed in range(3):
+            part = partition_clusters(g, 8, seed=seed).part_of
+            src = np.repeat(np.arange(g.num_nodes), g.degrees)
+            cut = np.mean(part[src] != part[g.col_indices])
+            counts = np.bincount(part * 8 + labels, minlength=64).reshape(8, 8)
+            purity = counts.max(axis=1).sum() / g.num_nodes
+            # a uniformly random split cuts 7/8 of the edges at purity near 1/8;
+            # seeds 0-2 measure cut 0.38-0.40 and purity 0.60-0.67
+            assert cut < 0.5 and purity > 0.5, (seed, cut, purity)
+
+    def test_import_and_partition_load_no_csgraph(self):
+        code = ("import sys, numpy as np, als_graph\n"
+                "g = als_graph.build_csr([(0, 1), (1, 2), (3, 4)], 6, symmetrize=True)\n"
+                "als_graph.partition_clusters(g, 2, seed=0)\n"
+                "print(sorted(m for m in sys.modules if 'csgraph' in m))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
+
+    def test_thousand_parts_of_a_50k_node_graph(self):
+        g, _ = planted_graph(40, 1250, 250_000)
+        start = time.perf_counter()
+        p = partition_clusters(g, 1000, seed=0)
+        took = time.perf_counter() - start
+        assert np.all(np.bincount(p.part_of, minlength=1000) == 50)
+        assert took < 15.0, took  # was 22.6 s with one BFS per part and a per-node loop
+
+
 class TestClusterBatches:
     def test_all_parts_in_one_batch_is_full_graph(self, dataset):
         p = partition_clusters(dataset.graph, 4, seed=0)
@@ -83,6 +195,18 @@ class TestClusterBatches:
         for x, y in zip(a, b):
             assert np.array_equal(x.global_ids, y.global_ids)
             assert x.subgraph.structurally_equal(y.subgraph)
+
+    def test_batches_match_the_whole_graph_oracle(self, dataset):
+        # reference: a node mask over the whole graph and scipy's row/column slicing
+        p = partition_clusters(dataset.graph, 7, seed=2)
+        for batch, parts in zip(cluster_batches(dataset, p, 3, seed=4, epoch=1),
+                                np.array_split(sampling.stream(4, 1).permutation(7), [3, 6])):
+            nodes = np.flatnonzero(np.isin(p.part_of, parts))
+            ref = dataset.graph._scipy[nodes][:, nodes].sorted_indices()
+            assert np.array_equal(batch.global_ids, nodes)
+            assert np.array_equal(batch.subgraph.row_offsets, ref.indptr)
+            assert np.array_equal(batch.subgraph.col_indices, ref.indices)
+            assert np.array_equal(batch.train_local, np.flatnonzero(dataset.train_mask[nodes]))
 
     def test_full_graph_batch_loss_equals_full_batch_loss(self, dataset, rng):
         p = partition_clusters(dataset.graph, 4, seed=0)
