@@ -13,21 +13,23 @@ from pathlib import Path
 
 import numpy as np
 
-from als_graph.harness import ExperimentConfig, run_experiment
+from als_graph.harness import (
+    ExperimentConfig,
+    apply_overrides,
+    build_config,
+    load_config_file,
+    run_experiment,
+)
 from als_graph.reporting import write_report
+
+PROTOCOL_CFG = Path(__file__).resolve().parents[1] / "configs" / "protocol.cfg"
 
 
 def base_config(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        sbm_blocks=8, sbm_nodes_per_block=250, sbm_p_in=0.05, sbm_p_out=0.002,
-        sbm_feature_dim=16, sbm_feature_noise=args.feature_noise,
-        sbm_train_fraction=0.05, sbm_val_fraction=0.2, sbm_seed=7,
-        sampler_kind="cluster", num_parts=args.num_parts, parts_per_batch=2,
-        arch="gcn", depth=3, hidden=128, dropout=0.0,
-        epochs=args.epochs, lr=args.lr,
-        loss_mode="als", pacing_kind="linear", pacing_r=1e-2, alpha_max=0.1,
-        gamma=1e-3, beta=0.1, k_steps=2,
-    )
+    return build_config(apply_overrides(load_config_file(PROTOCOL_CFG), [
+        f"train.epochs={args.epochs}", f"train.lr={args.lr}",
+        f"sampler.num_parts={args.num_parts}", f"sbm.feature_noise={args.feature_noise}",
+    ]))
 
 
 def main() -> None:

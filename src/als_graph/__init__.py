@@ -50,10 +50,7 @@ from .smoothing import (
     RefinementMatrix,
     alpha_at,
     init_refinement,
-    kl_to_uniform,
     loss_and_grads,
-    refine_soft_label,
-    smooth_label,
     softmax_rows,
 )
 
@@ -111,9 +108,6 @@ __all__ = [
     "RefinementMatrix",
     "alpha_at",
     "init_refinement",
-    "kl_to_uniform",
     "loss_and_grads",
-    "refine_soft_label",
-    "smooth_label",
     "softmax_rows",
 ]

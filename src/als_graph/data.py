@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,10 +65,6 @@ class Dataset:
     @property
     def num_nodes(self) -> int:
         return self.graph.num_nodes
-
-    @property
-    def num_features(self) -> int:
-        return int(self.features.shape[1])
 
     def validate(self) -> "Dataset":
         n = self.graph.num_nodes
@@ -243,12 +240,11 @@ def _read_id_value_lines(path, what: str):
             yield lineno, node, fields[1].strip()
 
 
-def read_labels(path, num_nodes: int | None = None,
-                num_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def read_labels(path, num_nodes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Parse ``node_id,label`` lines into (node ids, class ids), in file order.
 
-    Every node id must lie below ``num_nodes`` and every class id below
-    ``num_classes`` when they are given; a node may be listed only once.
+    Every node id must lie below ``num_nodes`` when it is given; a node may be
+    listed only once.
     """
     nodes: dict[int, int] = {}
     for lineno, node, value in _read_id_value_lines(path, "label"):
@@ -259,33 +255,29 @@ def read_labels(path, num_nodes: int | None = None,
         label = _parse_int(value, path, lineno, "label")
         if label < 0:
             raise ValueError(f"{path}:{lineno}: negative class id")
-        if num_classes is not None and label >= num_classes:
-            raise ValueError(f"{path}:{lineno}: class id {label} >= {num_classes}")
         nodes[node] = label
     if not nodes:
         raise ValueError(f"{path}: no labels found")
     return np.fromiter(nodes, dtype=np.int64), np.fromiter(nodes.values(), dtype=np.int64)
 
 
-def load_dataset(edge_path, feature_path, label_path, split_path, *,
-                 symmetrize: bool = True, num_classes: int | None = None) -> Dataset:
+def load_dataset(edge_path, feature_path, label_path, split_path) -> Dataset:
     """Assemble a Dataset from the four on-disk pieces.
 
     The feature matrix fixes the node count; every id in the other files must
-    lie below it. The class count is inferred from the label file unless
-    ``num_classes`` is given.
+    lie below it. Edges are stored in both directions, and the class count is
+    one more than the largest class id in the label file.
     """
     features = load_features(feature_path)
     n = features.shape[0]
 
     edges, _ = read_edge_list(edge_path, n)
-    graph = build_csr(edges, n, symmetrize=symmetrize)
+    graph = build_csr(edges, n, symmetrize=True)
 
-    nodes, classes = read_labels(label_path, n, num_classes)
+    nodes, classes = read_labels(label_path, n)
     labels = np.full(n, -1, dtype=np.int64)
     labels[nodes] = classes
-    if num_classes is None:
-        num_classes = int(classes.max()) + 1
+    num_classes = int(classes.max()) + 1
 
     masks = {"train": np.zeros(n, dtype=bool), "val": np.zeros(n, dtype=bool), "test": np.zeros(n, dtype=bool)}
     assigned = np.zeros(n, dtype=bool)
@@ -375,7 +367,15 @@ def write_matrix_csv(matrix: np.ndarray, path) -> Path:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
+    """Comma-separated rows; every error names the file, and an empty file is rejected."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's empty-file warning
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if data.size == 0:
+        raise ValueError(f"{path}: no matrix rows found")
     return np.asarray(data, dtype=np.float64)
 
 

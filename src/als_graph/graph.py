@@ -59,18 +59,9 @@ class CsrGraph:
         d.setflags(write=False)
         return d
 
-    def neighbors(self, node: int) -> np.ndarray:
-        return self.col_indices[self.row_offsets[node] : self.row_offsets[node + 1]]
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All directed edges as (sources, targets)."""
         return np.repeat(np.arange(self.num_nodes), self.degrees), self.col_indices.copy()
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.num_nodes, self.num_nodes))
-        u, v = self.edge_arrays()
-        a[u, v] = 1.0
-        return a
 
     @cached_property
     def _scipy(self) -> sp.csr_array:
@@ -86,13 +77,6 @@ class CsrGraph:
         op = (self._scipy + sp.identity(self.num_nodes, format="csr")).tocsr()
         op.data *= np.repeat(scale, np.diff(op.indptr)) * scale[op.indices]
         return op
-
-    def structurally_equal(self, other: "CsrGraph") -> bool:
-        return (
-            self.num_nodes == other.num_nodes
-            and np.array_equal(self.row_offsets, other.row_offsets)
-            and np.array_equal(self.col_indices, other.col_indices)
-        )
 
 
 def build_csr(edge_list, num_nodes: int, symmetrize: bool = False) -> CsrGraph:

@@ -244,8 +244,10 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{origin}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in mapping:
+            raise ValueError(f"{origin}:{lineno}: key {key!r} set more than once")
+        mapping[key] = value
     return mapping
 
 
@@ -297,7 +299,10 @@ def parse_sweep_grid(mapping: dict[str, str]) -> dict[str, list]:
         if key in mapping:
             tokens = [tok.strip() for tok in str(mapping[key]).split(",") if tok.strip()]
             cast = int if attr == "k_steps" else float
-            grid[attr] = [cast(tok) for tok in tokens]
+            try:
+                grid[attr] = [cast(tok) for tok in tokens]
+            except ValueError as exc:
+                raise ValueError(f"config key {key}: {exc}") from None
     return grid
 
 
@@ -361,7 +366,7 @@ def _batch_loss(cfg: ExperimentConfig, dataset: Dataset, batch: Batch, logits: n
     if cfg.loss_mode == "ls":
         return loss_and_grads(train_logits, hard, alpha_t=alpha, mode="ls")
     if cfg.no_refinement:
-        mixed = smooth_labels(hard, yk[gids], alpha, "ablate_refinement")
+        mixed = smooth_labels(hard, yk[gids], alpha)
         return loss_and_grads(train_logits, mixed, mode="plain")
     soft_inputs = hard if cfg.no_propagation else yk[gids]
     return loss_and_grads(train_logits, hard, soft_inputs, refinement, alpha, cfg.gamma,
@@ -608,16 +613,17 @@ def run_ablations(cfg: ExperimentConfig, out_dir=None) -> dict[str, ExperimentRe
 
 
 def run_sweep(cfg: ExperimentConfig, grid: dict[str, list], out_dir) -> list[dict]:
-    """One run (or seed family) per grid point; one report file per point."""
+    """One run (or seed family) per grid point, all validated up front; one report per point."""
     if not grid:
         raise ValueError("sweep grid is empty; set sweep.r / sweep.gamma / sweep.beta / sweep.k")
+    attrs = sorted(grid)
+    points = [dict(zip(attrs, combo)) for combo in itertools.product(*(grid[a] for a in attrs))]
+    configs = [replace(cfg, **point).validate() for point in points]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    attrs = sorted(grid)
     rows = []
-    for combo in itertools.product(*(grid[a] for a in attrs)):
-        point = dict(zip(attrs, combo))
-        aggregated, _ = run_repeated(replace(cfg, **point).validate())
+    for point, point_cfg in zip(points, configs):
+        aggregated, _ = run_repeated(point_cfg)
         tag = "_".join(f"{a}={v}" for a, v in point.items())
         write_report(aggregated, out_dir / f"sweep_{tag}.json")
         rows.append({**point,

@@ -77,15 +77,15 @@ def _report_from_dict(doc: dict) -> ExperimentReport:
         int(doc["bias_stats"]["batch_count"]),
     )
     records = [EpochRecord(**{col: rec[col] for col in CSV_COLUMNS}) for rec in doc["per_epoch"]]
-    summary = doc.get("summary", {})
+    summary = doc["summary"]
     return ExperimentReport(
         config=doc["config"],
         per_epoch=records,
         bias_stats=stats,
-        final_relevance_path=doc.get("final_relevance_path"),
-        final_test_acc_mean=summary.get("final_test_acc_mean", 0.0),
-        final_test_acc_std=summary.get("final_test_acc_std", 0.0),
-        seeds=list(summary.get("seeds", [])),
+        final_relevance_path=doc["final_relevance_path"],
+        final_test_acc_mean=summary["final_test_acc_mean"],
+        final_test_acc_std=summary["final_test_acc_std"],
+        seeds=list(summary["seeds"]),
     )
 
 

@@ -21,26 +21,17 @@ __all__ = [
     "LossBreakdown",
     "alpha_at",
     "init_refinement",
-    "refine_soft_label",
-    "smooth_label",
     "smooth_labels",
-    "kl_to_uniform",
     "loss_and_grads",
     "softmax_rows",
-    "reset_refinement_op_count",
     "refinement_op_count",
 ]
 
 PROB_FLOOR = 1e-12  # predicted probabilities are clamped here before log
 
 # multiply-add counter for the refinement path (matrix products touching W);
-# tests assert the expected |B| * C^2 scaling from it
+# read it before and after a call to count that call's cost
 _REFINEMENT_MADDS = 0
-
-
-def reset_refinement_op_count() -> None:
-    global _REFINEMENT_MADDS
-    _REFINEMENT_MADDS = 0
 
 
 def refinement_op_count() -> int:
@@ -123,58 +114,21 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def refine_soft_label(refinement: RefinementMatrix, yk_row: np.ndarray) -> np.ndarray:
-    """Soft target softmax(W @ yk_row); strictly positive, sums to one."""
-    yk_row = np.asarray(yk_row, dtype=np.float64)
-    if not np.isfinite(yk_row).all():
-        raise ValueError("propagated label row must be finite")
-    return softmax_rows(refinement.w @ yk_row)
+def smooth_labels(y: np.ndarray, yk: np.ndarray, alpha_t: float) -> np.ndarray:
+    """Row-wise convex mixture (1 - alpha) * y + alpha * target.
 
-
-def smooth_label(y: np.ndarray, y_soft: np.ndarray | None, alpha_t: float, mode: str) -> np.ndarray:
-    """Convex mixture (1 - alpha) * y + alpha * target.
-
-    The target is the uniform distribution (``uniform_ls``), the learned soft
-    label (``als`` and ``ablate_propagation``, whose caller feeds the hard
-    label through W), or the propagated row itself renormalized
-    (``ablate_refinement``; an all-zero row falls back to uniform).
+    The target is each propagated row of ``yk`` renormalized to sum to one;
+    an all-zero row falls back to uniform. This is the premixed target of the
+    ``ablate.no_refinement`` ablation.
     """
-    return smooth_labels(np.atleast_2d(y), None if y_soft is None else np.atleast_2d(y_soft),
-                         alpha_t, mode)[0]
-
-
-def smooth_labels(y: np.ndarray, y_soft: np.ndarray | None, alpha_t: float, mode: str) -> np.ndarray:
-    """Row-wise version of :func:`smooth_label`."""
     if not 0.0 <= alpha_t <= 1.0:
         raise ValueError(f"smoothing strength {alpha_t} out of [0, 1]")
     y = np.asarray(y, dtype=np.float64)
     c = y.shape[-1]
-    if mode == "uniform_ls":
-        target = np.full_like(y, 1.0 / c)
-    elif mode in ("als", "ablate_propagation"):
-        if y_soft is None:
-            raise ValueError(f"mode {mode!r} needs soft targets")
-        target = np.asarray(y_soft, dtype=np.float64)
-    elif mode == "ablate_refinement":
-        if y_soft is None:
-            raise ValueError("mode 'ablate_refinement' needs propagated rows")
-        raw = np.asarray(y_soft, dtype=np.float64)
-        sums = raw.sum(axis=-1, keepdims=True)
-        target = np.where(sums > PROB_FLOOR, raw / np.where(sums > PROB_FLOOR, sums, 1.0), 1.0 / c)
-    else:
-        raise ValueError(f"unknown smoothing mode {mode!r}")
+    raw = np.asarray(yk, dtype=np.float64)
+    sums = raw.sum(axis=-1, keepdims=True)
+    target = np.where(sums > PROB_FLOOR, raw / np.where(sums > PROB_FLOOR, sums, 1.0), 1.0 / c)
     return (1.0 - alpha_t) * y + alpha_t * target
-
-
-def kl_to_uniform(p: np.ndarray) -> float:
-    """KL(p || uniform) = sum_c p_c * ln(p_c * C), with 0 * ln 0 = 0."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("expected a single distribution")
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("input is not a probability distribution")
-    pos = p > 0
-    return float(np.sum(p[pos] * np.log(p[pos] * p.size)))
 
 
 def _kl_rows(p: np.ndarray) -> np.ndarray:

@@ -1,12 +1,32 @@
 """Shared fixtures and independent reference implementations.
 
-The dense oracles here are deliberately written against raw edge lists and
-dense numpy algebra so they share no code with the CSR kernels they check.
+The dense oracles here are deliberately written against raw edge lists,
+raw CSR arrays and dense numpy algebra, so they share no code with the
+kernels and losses they check.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
+
+
+def neighbors(g, u: int) -> np.ndarray:
+    """Row ``u`` of a CSR graph's column indices."""
+    return g.col_indices[g.row_offsets[u] : g.row_offsets[u + 1]]
+
+
+def to_dense(g) -> np.ndarray:
+    """Dense 0/1 adjacency read straight from a CSR graph's arrays."""
+    a = np.zeros((g.num_nodes, g.num_nodes))
+    a[np.repeat(np.arange(g.num_nodes), np.diff(g.row_offsets)), g.col_indices] = 1.0
+    return a
+
+
+def structurally_equal(a, b) -> bool:
+    """Same node count and the same canonical CSR arrays."""
+    return (a.num_nodes == b.num_nodes
+            and np.array_equal(a.row_offsets, b.row_offsets)
+            and np.array_equal(a.col_indices, b.col_indices))
 
 
 def random_undirected(rng: np.random.Generator, n: int, p: float):
@@ -58,6 +78,19 @@ def central_diff(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (up - down) / (2.0 * step)
     return grad
+
+
+def refine_soft_label(w: np.ndarray, yk_row: np.ndarray) -> np.ndarray:
+    """One node's soft target softmax(W @ yk_row)."""
+    z = w @ yk_row
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def kl_to_uniform(p: np.ndarray) -> float:
+    """KL(p || uniform) = sum_c p_c * ln(p_c * C), with 0 * ln 0 = 0."""
+    pos = p > 0
+    return float(np.sum(p[pos] * np.log(p[pos] * p.size)))
 
 
 def random_distribution(rng: np.random.Generator, c: int) -> np.ndarray:

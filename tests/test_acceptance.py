@@ -18,7 +18,9 @@ from als_graph.data import SbmParams, generate_sbm, one_hot
 from als_graph.graph import build_csr
 from als_graph.harness import (
     ExperimentConfig,
+    build_config,
     compare_label_exploitation,
+    load_config_file,
     run_experiment,
 )
 from als_graph.metrics import bias_stats
@@ -33,7 +35,7 @@ from als_graph.reporting import write_report
 from als_graph.sampling import cluster_batches, full_batch, partition_clusters
 from als_graph.smoothing import PacingSchedule, RefinementMatrix, alpha_at, loss_and_grads
 
-from conftest import central_diff, random_distribution, random_undirected, rel_err
+from conftest import central_diff, random_distribution, random_undirected, rel_err, to_dense
 
 
 def _report(num: int, name: str, passed: bool, detail: str = "") -> None:
@@ -41,19 +43,9 @@ def _report(num: int, name: str, passed: bool, detail: str = "") -> None:
     assert passed, f"criterion {num} ({name}) failed: {detail}"
 
 
-# calibrated directional protocol: the pinned block model with features noisy
-# enough that a memorizing plain run overfits (its test loss rises over
-# training) while staying reproducible seed to seed
-PROTOCOL = ExperimentConfig(
-    sbm_blocks=8, sbm_nodes_per_block=250, sbm_p_in=0.05, sbm_p_out=0.002,
-    sbm_feature_dim=16, sbm_feature_noise=6.0, sbm_train_fraction=0.05,
-    sbm_val_fraction=0.2, sbm_seed=7,
-    sampler_kind="cluster", num_parts=2, parts_per_batch=2,
-    arch="gcn", depth=3, hidden=128, dropout=0.0,
-    loss_mode="als", epochs=100, lr=0.03,
-    pacing_kind="linear", pacing_r=1e-2, alpha_max=0.1, gamma=1e-3,
-    beta=0.1, k_steps=2,
-)
+# the calibrated directional protocol; the file's header says what it pins
+PROTOCOL_CFG = Path(__file__).resolve().parents[1] / "configs" / "protocol.cfg"
+PROTOCOL = build_config(load_config_file(PROTOCOL_CFG))
 PROTOCOL_SEEDS = range(5)
 
 
@@ -298,7 +290,7 @@ def test_criterion_08_baseline_coverage(tmp_path):
     yk = propagate(d.graph, init_label_matrix(d), PropagationConfig(0.5, k))
     pred, abstain = predict_by_propagation(yk)
 
-    dense = d.graph.to_dense()
+    dense = to_dense(d.graph)
     reached = train.copy()
     for _ in range(k):
         frontier = (dense[reached].sum(axis=0) > 0) & ~reached

@@ -4,7 +4,9 @@ If a refactor drops or renames one of those names, every traced benchmark
 run fails with ``AttributeError``; these tests fail first instead. The
 tracer's counters also read their arguments (``model.normalized_spmm``'s
 graph, ``forward``'s batch), so a traced run must still complete and report
-exactly what an untraced run reports.
+exactly what an untraced run reports. The benchmark's ``protocol`` workload
+is the checked-in protocol config with its seed made a parameter, and a test
+keeps the two copies from drifting apart.
 """
 from __future__ import annotations
 
@@ -17,6 +19,13 @@ import tracing  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
 from als_graph import harness, model  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_protocol_config_matches_the_benchmark_workload():
+    from_file = harness.build_config(harness.load_config_file(ROOT / "configs" / "protocol.cfg"))
+    assert from_file == harness.build_config({**workloads.PROTOCOL, "sbm.seed": "7"})
 
 
 def test_every_traced_name_resolves():

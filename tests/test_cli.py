@@ -170,9 +170,9 @@ def test_sweep_requires_grid(tmp_path, config_path, capsys):
 
 def test_sweep_with_grid(tmp_path):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(SMALL_CONFIG + "sweep.r = 0.01,0.02\ntrain.epochs = 1\n")
+    cfg.write_text(SMALL_CONFIG + "sweep.r = 0.01,0.02\n")
     out_dir = tmp_path / "sweep_out"
-    code = main(["sweep", "--config", str(cfg), "--out-dir", str(out_dir)])
+    code = main(["sweep", "--config", str(cfg), "--out-dir", str(out_dir), "train.epochs=1"])
     assert code == 0
     assert (out_dir / "sweep_summary.csv").exists()
     assert len(list(out_dir.glob("sweep_*.json"))) == 2

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,12 +16,15 @@ from als_graph.data import (
     SbmParams,
     generate_sbm,
     load_dataset,
+    load_features,
     read_matrix_binary,
     save_dataset,
     write_features,
     write_matrix_binary,
 )
 from als_graph.graph import build_csr
+
+from conftest import neighbors, structurally_equal
 
 
 def scipy_adj(dataset):
@@ -108,7 +113,7 @@ class TestGenerateSbm:
         # two disjoint 3-cliques: every node has degree 2, no cross-block edges
         assert d.graph.degrees.tolist() == [2] * 6
         for u in range(3):
-            assert all(int(v) < 3 for v in d.graph.neighbors(u))
+            assert all(int(v) < 3 for v in neighbors(d.graph, u))
 
     def test_same_seed_is_byte_identical(self):
         params = SbmParams(blocks=3, nodes_per_block=8, p_in=0.4, p_out=0.05, seed=11)
@@ -161,7 +166,7 @@ class TestDatasetFiles:
                                    feature_dim=5, seed=9))
         paths = save_dataset(d, tmp_path)
         loaded = load_dataset(paths["edges"], paths["features"], paths["labels"], paths["splits"])
-        assert loaded.graph.structurally_equal(d.graph)
+        assert structurally_equal(loaded.graph, d.graph)
         assert np.array_equal(loaded.features, d.features)
         assert np.array_equal(loaded.labels, d.labels)
         assert loaded.num_classes == d.num_classes
@@ -198,15 +203,6 @@ class TestDatasetFiles:
         (tmp_path / "s.csv").write_text("0,train\n")
         with pytest.raises(ValueError, match=r"e\.tsv:3: node id 5 out of range for 3 nodes"):
             load_dataset(tmp_path / "e.tsv", tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "s.csv")
-
-    def test_class_id_above_count_rejected(self, tmp_path):
-        (tmp_path / "e.tsv").write_text("0\t1\n")
-        (tmp_path / "x.csv").write_text("1.0\n2.0\n")
-        (tmp_path / "y.csv").write_text("0,0\n1,7\n")
-        (tmp_path / "s.csv").write_text("0,train\n")
-        with pytest.raises(ValueError, match=r"y\.csv:2: class id 7"):
-            load_dataset(tmp_path / "e.tsv", tmp_path / "x.csv", tmp_path / "y.csv",
-                         tmp_path / "s.csv", num_classes=2)
 
     def test_node_listed_twice_rejected(self, tmp_path):
         (tmp_path / "e.tsv").write_text("0\t1\n")
@@ -269,3 +265,27 @@ class TestMatrixPersistence:
         (tmp_path / "m.bin").write_bytes(b"XXXX" + b"\0" * 12)
         with pytest.raises(ValueError, match="magic"):
             read_matrix_binary(tmp_path / "m.bin")
+
+
+class TestFeatureCsv:
+    """Every CSV feature error names the file; an empty file is rejected on load."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2,3\n4,x,6\n", "could not convert string 'x'"),
+        ("1,2,3\n4,5\n", "the number of columns changed from 3 to 2"),
+        ("", "no matrix rows found"),
+        ("# header only\n\n", "no matrix rows found"),
+    ])
+    def test_error_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-input warning must not leak
+            with pytest.raises(ValueError, match=rf"x\.csv: {re.escape(message)}"):
+                load_features(path)
+
+    def test_empty_feature_file_rejected_before_the_other_files(self, tmp_path):
+        (tmp_path / "x.csv").write_text("")
+        with pytest.raises(ValueError, match=r"x\.csv: no matrix rows found"):
+            load_dataset(tmp_path / "missing.tsv", tmp_path / "x.csv",
+                         tmp_path / "missing.csv", tmp_path / "missing.csv")

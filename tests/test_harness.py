@@ -34,7 +34,9 @@ from als_graph.harness import (
 from als_graph.model import adam_step, backward, forward, init_model, init_opt_state
 from als_graph.propagation import PropagationConfig, init_label_matrix, propagate
 from als_graph.reporting import load_report, report_to_dict, write_report
-from als_graph.smoothing import RefinementMatrix, alpha_at, init_refinement, refine_soft_label
+from als_graph.smoothing import RefinementMatrix, alpha_at, init_refinement
+
+from conftest import refine_soft_label
 
 
 def small_cfg(**kwargs) -> ExperimentConfig:
@@ -135,6 +137,17 @@ class TestConfig:
     def test_sweep_grid_parsing(self):
         grid = parse_sweep_grid({"sweep.r": "0.01, 0.02", "sweep.k": "1,2", "loss.mode": "als"})
         assert grid == {"pacing_r": [0.01, 0.02], "k_steps": [1, 2]}
+
+    def test_bad_sweep_value_names_the_key(self):
+        with pytest.raises(ValueError, match=r"config key sweep\.k: invalid literal .* 'x'"):
+            parse_sweep_grid({"sweep.k": "1,x"})
+
+    def test_key_set_twice_in_a_file_rejected(self):
+        with pytest.raises(ValueError, match=r"exp\.cfg:3: key 'train\.lr' set more than once"):
+            parse_config_text("train.lr = 0.1\n# again\ntrain.lr = 0.2\n", origin="exp.cfg")
+        # a command-line override still wins over the file
+        mapping = apply_overrides(parse_config_text("train.lr = 0.1\n"), ["train.lr=0.2"])
+        assert build_config(mapping).lr == 0.2
 
 
 class TestRunExperiment:
@@ -391,11 +404,12 @@ class TestLabelInput:
         d = generate_sbm(SbmParams(blocks=3, nodes_per_block=10, train_fraction=0.3, seed=1))
         yk = propagate(d.graph, init_label_matrix(d), PropagationConfig(0.2, 2))
         feats = label_input_features(d, yk)
-        assert feats.shape == (d.num_nodes, d.num_features + d.num_classes)
-        assert feats[:, : d.num_features].tobytes() == d.features.tobytes()
+        width = d.features.shape[1]
+        assert feats.shape == (d.num_nodes, width + d.num_classes)
+        assert feats[:, :width].tobytes() == d.features.tobytes()
         zero_rows = ~yk.any(axis=1)
         if zero_rows.any():
-            assert not feats[zero_rows, d.num_features:].any()
+            assert not feats[zero_rows, width:].any()
 
     def test_experiment_with_label_input(self):
         report = run_experiment(small_cfg(loss_mode="plain", label_input=True, epochs=2))
@@ -413,11 +427,10 @@ class TestExportRelevance:
         path = export_relevance(w, tmp_path / "rel.csv")
         rows = np.loadtxt(path, delimiter=",", ndmin=2)
         assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-9
-        transposed = RefinementMatrix(w.w.T.copy())
         for i in range(5):
             basis = np.zeros(5)
             basis[i] = 1.0
-            assert np.allclose(rows[i], refine_soft_label(transposed, basis), atol=1e-15)
+            assert np.allclose(rows[i], refine_soft_label(w.w.T, basis), atol=1e-15)
 
 
 class TestAnalyses:
@@ -427,6 +440,14 @@ class TestAnalyses:
         summary = (tmp_path / "ablation_summary.csv").read_text().strip().splitlines()
         assert len(summary) == 5
         assert (tmp_path / "no_refinement.json").exists()
+
+    def test_sweep_checks_every_point_before_the_first_run(self, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_repeated", lambda cfg: runs.append(cfg))
+        with pytest.raises(ValueError, match=r"loss\.gamma must be at least 0, got -1\.0"):
+            run_sweep(small_cfg(epochs=1), {"gamma": [1e-3, 1e-2, -1.0]}, tmp_path / "out")
+        assert runs == []
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_writes_one_report_per_point(self, tmp_path):
         rows = run_sweep(small_cfg(epochs=1), {"pacing_r": [0.01, 0.02], "gamma": [0.001]},
@@ -493,7 +514,8 @@ class TestReporting:
             assert a == b
 
     @pytest.mark.parametrize("drop", [("config",), ("per_epoch",), ("bias_stats", "std"),
-                                      ("per_epoch", 0, "test_acc")])
+                                      ("per_epoch", 0, "test_acc"), ("summary",),
+                                      ("summary", "seeds"), ("final_relevance_path",)])
     def test_missing_key_names_file_and_key(self, tmp_path, drop):
         report = run_experiment(small_cfg(epochs=1))
         path, _ = write_report(report, tmp_path / "r.json")

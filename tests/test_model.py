@@ -19,7 +19,14 @@ from als_graph.rng import stream
 from als_graph.sampling import Batch, full_batch, neighbor_sample
 from als_graph.smoothing import loss_and_grads
 
-from conftest import central_diff, dense_sym_norm_self_loops, random_undirected, rel_err
+from conftest import (
+    central_diff,
+    dense_sym_norm_self_loops,
+    neighbors,
+    random_undirected,
+    rel_err,
+    to_dense,
+)
 
 
 def make_batch(n, edges=()):
@@ -195,8 +202,8 @@ class TestBackward:
         b, _ = forward(params, flat, feats, train_mode=False)
         # dense per-layer oracle, read at the loss rows
         (w0, w1), (b0, b1) = params.weights, params.biases
-        h = np.maximum(dense_sym_norm_self_loops(lower.to_dense()) @ feats @ w0 + b0, 0.0)
-        expected = dense_sym_norm_self_loops(upper.to_dense()) @ h @ w1 + b1
+        h = np.maximum(dense_sym_norm_self_loops(to_dense(lower)) @ feats @ w0 + b0, 0.0)
+        expected = dense_sym_norm_self_loops(to_dense(upper)) @ h @ w1 + b1
         assert np.abs(a[layered.loss_rows] - expected[layered.train_local]).max() < 1e-12
         assert not np.allclose(a[layered.loss_rows], b[flat.loss_rows])
         with pytest.raises(ValueError, match="depth"):
@@ -245,7 +252,7 @@ class TestBackward:
         for layer in (2, 1):
             g, rows = batch.layer_graphs[layer], expected[layer]
             expected[layer - 1] = np.union1d(
-                rows, np.concatenate([g.neighbors(int(r)) for r in rows]))
+                rows, np.concatenate([neighbors(g, int(r)) for r in rows]))
         sizes = [rows.size for rows in expected]
         feats = rng.standard_normal((n, 5))
         params = init_model("gcn", [5, 8, 8, 3], dropout=0.5, seed=0)
@@ -258,7 +265,7 @@ class TestBackward:
         gen = stream(1)
         h = feats
         for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-            z = dense_sym_norm_self_loops(batch.layer_graphs[layer].to_dense()) @ h @ w + b
+            z = dense_sym_norm_self_loops(to_dense(batch.layer_graphs[layer])) @ h @ w + b
             if layer < 2:
                 h = np.maximum(z, 0.0) * ((gen.random(z.shape) >= 0.5) / 0.5)
         assert np.abs(logits - z[batch.train_local]).max() < 1e-12

@@ -14,7 +14,7 @@ from als_graph.propagation import (
     propagate,
 )
 
-from conftest import dense_propagate, random_undirected
+from conftest import dense_propagate, random_undirected, to_dense
 
 
 class TestInitLabelMatrix:
@@ -159,7 +159,7 @@ class TestPredictByPropagation:
 
 
 def _bfs_reachable_oracle(dataset, sources, max_depth):
-    dense = dataset.graph.to_dense()
+    dense = to_dense(dataset.graph)
     frontier = np.zeros(dataset.num_nodes, dtype=bool)
     frontier[sources] = True
     reached = frontier.copy()

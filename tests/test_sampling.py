@@ -20,6 +20,8 @@ from als_graph.sampling import (
 )
 from als_graph.smoothing import loss_and_grads
 
+from conftest import neighbors, structurally_equal, to_dense
+
 
 @pytest.fixture
 def dataset():
@@ -179,7 +181,7 @@ class TestClusterBatches:
         p = partition_clusters(dataset.graph, 4, seed=0)
         (batch,) = cluster_batches(dataset, p, 4, seed=0)
         assert batch.num_nodes == dataset.num_nodes
-        assert batch.subgraph.structurally_equal(dataset.graph)
+        assert structurally_equal(batch.subgraph, dataset.graph)
 
     def test_epoch_covers_each_training_node_once(self, dataset):
         p = partition_clusters(dataset.graph, 6, seed=0)
@@ -194,7 +196,7 @@ class TestClusterBatches:
         b = cluster_batches(dataset, p, 2, seed=3, epoch=1)
         for x, y in zip(a, b):
             assert np.array_equal(x.global_ids, y.global_ids)
-            assert x.subgraph.structurally_equal(y.subgraph)
+            assert structurally_equal(x.subgraph, y.subgraph)
 
     def test_batches_match_the_whole_graph_oracle(self, dataset):
         # reference: a node mask over the whole graph and scipy's row/column slicing
@@ -236,7 +238,7 @@ class TestRandomWalk:
     def test_all_nodes_within_walk_length_of_roots(self, dataset):
         length = 3
         batch = random_walk_sample(dataset, num_roots=4, walk_length=length, seed=4)
-        dense = dataset.graph.to_dense()
+        dense = to_dense(dataset.graph)
         reach = np.zeros(dataset.num_nodes, dtype=bool)
         roots = batch.global_ids[dataset.train_mask[batch.global_ids]]
         reach[roots] = True
@@ -260,7 +262,7 @@ class TestNeighborSample:
         seeds = np.flatnonzero(dataset.train_mask)[:3]
         max_deg = int(dataset.graph.degrees.max())
         batch = neighbor_sample(dataset, seeds, [max_deg, max_deg], seed=0)
-        dense = dataset.graph.to_dense()
+        dense = to_dense(dataset.graph)
         ball = np.zeros(dataset.num_nodes, dtype=bool)
         ball[seeds] = True
         for _ in range(2):
@@ -276,10 +278,10 @@ class TestNeighborSample:
     def test_sampled_edges_exist_in_original(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:5]
         batch = neighbor_sample(dataset, seeds, [3, 2, 2], seed=1)
-        dense = dataset.graph.to_dense()
+        dense = to_dense(dataset.graph)
         for g in batch.layer_graphs:
             for u in range(g.num_nodes):
-                for v in g.neighbors(u):
+                for v in neighbors(g, u):
                     gu, gv = batch.global_ids[u], batch.global_ids[int(v)]
                     assert dense[gu, gv] == 1.0
 
@@ -301,7 +303,7 @@ class TestNeighborSample:
         assert np.array_equal(a.train_local, b.train_local)
         assert len(a.layer_graphs) == len(b.layer_graphs) == 2
         for ga, gb in zip(a.layer_graphs, b.layer_graphs):
-            assert ga.structurally_equal(gb)
+            assert structurally_equal(ga, gb)
 
     def test_fanout_respected(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:6]
@@ -310,7 +312,7 @@ class TestNeighborSample:
         # but sampled out-edges per source are capped before symmetrization
         local_seeds = batch.train_local
         hop = batch.layer_graphs[0]
-        sampled = {(u, int(v)) for u in local_seeds for v in hop.neighbors(int(u))}
+        sampled = {(u, int(v)) for u in local_seeds for v in neighbors(hop, int(u))}
         per_source = {}
         for u, v in sampled:
             per_source.setdefault(u, set()).add(v)
@@ -336,14 +338,14 @@ class TestNeighborSample:
         fanout, draws = 3, 2000
         train = np.flatnonzero(dataset.train_mask)
         seed_node = int(train[np.argmax(dataset.graph.degrees[train])])
-        nbrs = dataset.graph.neighbors(seed_node)
+        nbrs = neighbors(dataset.graph, seed_node)
         d = nbrs.size
         assert d > fanout  # oracle precondition
         picks = np.zeros(dataset.num_nodes, dtype=np.int64)
         for rng_seed in range(draws):
             batch = neighbor_sample(dataset, [seed_node], [fanout], seed=rng_seed)
             (hop0,) = batch.layer_graphs
-            chosen = batch.global_ids[hop0.neighbors(int(batch.train_local[0]))]
+            chosen = batch.global_ids[neighbors(hop0, int(batch.train_local[0]))]
             assert chosen.size == fanout  # distinct, since CSR rows are duplicate-free
             assert np.isin(chosen, nbrs).all()
             picks[chosen] += 1
@@ -360,7 +362,7 @@ class TestNeighborSample:
             assert batch.num_nodes == batch.global_ids.size
             for g in batch.layer_graphs:
                 assert g.num_nodes == batch.num_nodes
-                dense = g.to_dense()
+                dense = to_dense(g)
                 assert np.array_equal(dense, dense.T)
 
     @pytest.mark.parametrize("self_loops", [False, True], ids=["plain", "self_loops"])
@@ -376,7 +378,7 @@ class TestNeighborSample:
                 g = batch.layer_graphs[layer]
                 assert np.array_equal(batch.layer_rows[layer], rows)
                 assert np.all(np.diff(rows) > 0)
-                reads = np.union1d(rows, np.concatenate([g.neighbors(int(r)) for r in rows]))
+                reads = np.union1d(rows, np.concatenate([neighbors(g, int(r)) for r in rows]))
                 square = g._sym_norm_op
                 block = batch.layer_blocks[layer]
                 assert block.shape == (rows.size, reads.size)

@@ -11,16 +11,19 @@ from als_graph.smoothing import (
     RefinementMatrix,
     alpha_at,
     init_refinement,
-    kl_to_uniform,
     loss_and_grads,
-    refine_soft_label,
     refinement_op_count,
-    reset_refinement_op_count,
-    smooth_label,
+    smooth_labels,
     softmax_rows,
 )
 
-from conftest import central_diff, random_distribution, rel_err
+from conftest import (
+    central_diff,
+    kl_to_uniform,
+    random_distribution,
+    refine_soft_label,
+    rel_err,
+)
 
 
 class TestPacing:
@@ -55,64 +58,99 @@ class TestPacing:
             PacingSchedule("exponential", b=-0.1)
 
 
+def mixed_target(hard: np.ndarray, **loss_kwargs) -> np.ndarray:
+    """The target ``loss_and_grads`` mixes for one node, read back exactly.
+
+    For a batch of one, ``dlogits = p - mix``. With the prediction one-hot at
+    class k (the other logits at -1000 underflow to probability 0), every
+    entry but k is ``-dlogits`` exactly; readings at k = 0 and 1 cover all.
+    """
+    c = hard.size
+    out = np.empty(c)
+    for k in (0, 1):
+        logits = np.full((1, c), -1000.0)
+        logits[0, k] = 0.0
+        _, dlogits, _ = loss_and_grads(logits, hard[None], **loss_kwargs)
+        others = np.arange(c) != k
+        out[others] = -dlogits[0, others]
+    return out
+
+
+def soft_target(w: RefinementMatrix, yk_row: np.ndarray) -> np.ndarray:
+    """The learned soft target softmax(W yk) that ``als`` mode mixes in at alpha = 1."""
+    hard = np.zeros(yk_row.size)
+    hard[0] = 1.0
+    return mixed_target(hard, soft_inputs=yk_row[None], refinement=w, alpha_t=1.0, mode="als")
+
+
+def kl_term(w: RefinementMatrix, yk_row: np.ndarray) -> float:
+    """``loss_and_grads``'s KL-to-uniform term for one node's soft target."""
+    c = yk_row.size
+    bd, _, _ = loss_and_grads(np.zeros((1, c)), np.eye(c)[:1], yk_row[None], w, 0.5, 1.0, "als")
+    return bd.kl_term
+
+
 class TestRefine:
     def test_zero_matrix_gives_uniform(self):
         w = RefinementMatrix(np.zeros((4, 4)))
-        assert np.array_equal(refine_soft_label(w, np.array([0.2, 0.1, 0.0, 0.3])),
+        assert np.array_equal(soft_target(w, np.array([0.2, 0.1, 0.0, 0.3])),
                               np.full(4, 0.25))
 
     def test_zero_input_row_gives_uniform(self, rng):
         w = RefinementMatrix(rng.standard_normal((5, 5)))
-        assert np.array_equal(refine_soft_label(w, np.zeros(5)), np.full(5, 0.2))
+        assert np.array_equal(soft_target(w, np.zeros(5)), np.full(5, 0.2))
 
     def test_strong_diagonal_concentrates_on_seed_class(self):
         w = RefinementMatrix(50.0 * np.eye(3))
-        out = refine_soft_label(w, np.array([0.0, 1.0, 0.0]))
+        out = soft_target(w, np.array([0.0, 1.0, 0.0]))
         assert out[1] > 1.0 - 1e-9
 
     def test_rows_sum_to_one(self, rng):
         w = RefinementMatrix(rng.standard_normal((6, 6)))
         for _ in range(20):
-            out = refine_soft_label(w, rng.random(6))
+            yk_row = rng.random(6)
+            out = soft_target(w, yk_row)
             assert out.min() > 0
             assert abs(out.sum() - 1.0) < 1e-12
-
-    def test_non_finite_input_rejected(self):
-        w = RefinementMatrix(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            refine_soft_label(w, np.array([np.nan, 0.0]))
+            assert np.allclose(out, refine_soft_label(w.w, yk_row), rtol=0, atol=1e-15)
 
     def test_init_scale_keeps_soft_labels_near_uniform(self):
         w = init_refinement(8, seed=0)
-        out = refine_soft_label(w, np.ones(8) / 8)
+        out = soft_target(w, np.ones(8) / 8)
         assert np.abs(out - 0.125).max() < 0.01
 
 
 class TestSmoothLabel:
     def test_zero_strength_returns_hard_label(self, rng):
-        y = np.array([0.0, 1.0, 0.0])
-        soft = random_distribution(rng, 3)
-        assert np.array_equal(smooth_label(y, soft, 0.0, "als"), y)
+        y = np.array([[0.0, 1.0, 0.0]])
+        assert np.array_equal(smooth_labels(y, rng.random((1, 3)), 0.0), y)
+        w = RefinementMatrix(rng.standard_normal((3, 3)))
+        assert np.array_equal(mixed_target(y[0], soft_inputs=rng.random((1, 3)), refinement=w,
+                                           alpha_t=0.0, mode="als"), y[0])
 
     def test_uniform_ls_example(self):
         y = np.array([1.0, 0.0, 0.0, 0.0])
-        out = smooth_label(y, None, 0.1, "uniform_ls")
+        out = mixed_target(y, alpha_t=0.1, mode="ls")
         assert np.allclose(out, [0.925, 0.025, 0.025, 0.025], atol=1e-15)
 
     def test_full_strength_returns_soft_target(self, rng):
         y = np.array([1.0, 0.0])
+        yk_row = rng.random(2)
+        w = RefinementMatrix(rng.standard_normal((2, 2)))
+        out = mixed_target(y, soft_inputs=yk_row[None], refinement=w, alpha_t=1.0, mode="als")
+        assert np.allclose(out, refine_soft_label(w.w, yk_row), rtol=0, atol=1e-15)
         soft = random_distribution(rng, 2)
-        assert np.array_equal(smooth_label(y, soft, 1.0, "als"), soft)
+        assert np.allclose(smooth_labels(y[None], soft[None], 1.0)[0], soft, rtol=0, atol=1e-15)
 
     def test_ablate_refinement_renormalizes(self):
-        y = np.array([0.0, 1.0, 0.0])
-        out = smooth_label(y, np.array([0.2, 0.0, 0.2]), 0.5, "ablate_refinement")
-        assert np.allclose(out, [0.25, 0.5, 0.25])
+        y = np.array([[0.0, 1.0, 0.0]])
+        out = smooth_labels(y, np.array([[0.2, 0.0, 0.2]]), 0.5)
+        assert np.allclose(out, [[0.25, 0.5, 0.25]])
 
     def test_ablate_refinement_zero_row_falls_back_to_uniform(self):
-        y = np.array([0.0, 1.0])
-        out = smooth_label(y, np.zeros(2), 0.4, "ablate_refinement")
-        assert np.allclose(out, [0.2, 0.8])
+        y = np.array([[0.0, 1.0]])
+        out = smooth_labels(y, np.zeros((1, 2)), 0.4)
+        assert np.allclose(out, [[0.2, 0.8]])
 
     @given(st.floats(0.0, 1.0), st.integers(2, 8), st.integers(0, 2**31 - 1))
     @settings(max_examples=60)
@@ -120,38 +158,42 @@ class TestSmoothLabel:
         gen = np.random.default_rng(seed)
         y = np.zeros(c)
         y[int(gen.integers(c))] = 1.0
-        soft = gen.random(c) + 1e-3
-        soft /= soft.sum()
-        for mode in ("uniform_ls", "als", "ablate_refinement"):
-            out = smooth_label(y, soft, alpha, mode)
+        yk_row = gen.random(c)
+        w = RefinementMatrix(gen.standard_normal((c, c)))
+        outs = (mixed_target(y, alpha_t=alpha, mode="ls"),
+                mixed_target(y, soft_inputs=yk_row[None], refinement=w, alpha_t=alpha, mode="als"),
+                smooth_labels(y[None], yk_row[None], alpha)[0])
+        for out in outs:
             assert out.min() >= 0.0
             assert abs(out.sum() - 1.0) < 1e-12
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
-            smooth_label(np.array([1.0, 0.0]), None, 1.2, "uniform_ls")
+            smooth_labels(np.array([[1.0, 0.0]]), np.zeros((1, 2)), 1.2)
 
 
 class TestKlToUniform:
     def test_uniform_is_zero(self):
-        assert kl_to_uniform(np.full(5, 0.2)) == pytest.approx(0.0, abs=1e-15)
+        assert kl_term(RefinementMatrix(np.zeros((5, 5))), np.ones(5)) == pytest.approx(0.0, abs=1e-15)
 
     def test_one_hot_is_log_c(self):
-        assert kl_to_uniform(np.array([0.0, 0.0, 1.0])) == pytest.approx(1.0986122886681098, abs=1e-15)
+        # softmax([0, 0, 1000]) is exactly [0, 0, 1]
+        w = RefinementMatrix(np.diag([0.0, 0.0, 1000.0]))
+        assert kl_term(w, np.array([0.0, 0.0, 1.0])) == pytest.approx(1.0986122886681098, abs=1e-15)
 
     def test_two_class_example(self):
-        assert kl_to_uniform(np.array([0.7, 0.3])) == pytest.approx(0.08228287850505178, abs=1e-12)
-
-    def test_rejects_non_distribution(self):
-        with pytest.raises(ValueError):
-            kl_to_uniform(np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            kl_to_uniform(np.array([-0.1, 1.1]))
+        # the first column of W holds the log-probabilities of [0.7, 0.3]
+        w = RefinementMatrix(np.log([[0.7, 1.0], [0.3, 1.0]]))
+        assert kl_term(w, np.array([1.0, 0.0])) == pytest.approx(0.08228287850505178, abs=1e-12)
 
     @given(st.integers(2, 10), st.integers(0, 2**31 - 1))
     def test_nonnegative(self, c, seed):
-        p = random_distribution(np.random.default_rng(seed), c)
-        assert kl_to_uniform(p) >= -1e-15
+        gen = np.random.default_rng(seed)
+        w = RefinementMatrix(gen.standard_normal((c, c)))
+        yk_row = gen.random(c)
+        kl = kl_term(w, yk_row)
+        assert kl >= -1e-15
+        assert kl == pytest.approx(kl_to_uniform(refine_soft_label(w.w, yk_row)), abs=1e-12)
 
 
 def _random_loss_instance(gen, batch=7, c=5):
@@ -269,16 +311,16 @@ class TestLossAndGrads:
         def madds(batch, c):
             gen = np.random.default_rng(0)
             logits, hard, yk, w = _random_loss_instance(gen, batch=batch, c=c)
-            reset_refinement_op_count()
+            before = refinement_op_count()
             loss_and_grads(logits, hard, yk, w, 0.3, 0.1, "als")
-            return refinement_op_count()
+            return refinement_op_count() - before
 
         base = madds(8, 4)
         assert madds(16, 4) == 2 * base
         assert madds(8, 8) == 4 * base
-        reset_refinement_op_count()
+        before = refinement_op_count()
         loss_and_grads(*_random_loss_instance(rng)[:2])  # plain path costs nothing
-        assert refinement_op_count() == 0
+        assert refinement_op_count() == before
 
     def test_errors(self, rng):
         logits, hard, yk, w = _random_loss_instance(rng)
