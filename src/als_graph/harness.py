@@ -11,6 +11,7 @@ samplers are pure, so reports are the same as a serial loop's.
 """
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import itertools
 import json
@@ -415,6 +416,22 @@ def _evaluate_epoch(cfg: ExperimentConfig, dataset: Dataset, feats: np.ndarray,
     }, (full_logits, full_cache)
 
 
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for the rest of the process.
+
+    By default glibc raises both thresholds after a large mapped block is
+    freed, so whether the training loop's ~2 MB temporaries stay mapped
+    between epochs, or are returned to the system and faulted back in, would
+    depend on what set-up happened to free. The pinned values are those a
+    32 MiB free leaves. A C library without ``mallopt`` is left as it is.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 @dataclass
 class TrainingResult:
     report: ExperimentReport
@@ -434,7 +451,15 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
     the last epoch. Each epoch's batches are exactly those of a serial loop,
     and a sampler error is raised at the epoch whose batches failed, with
     its own type and message; no thread outlives the call.
+
+    The call first pins glibc's mmap threshold to 32 MiB and its trim
+    threshold to 64 MiB for the whole process (see ``_pin_heap_thresholds``),
+    so the loop keeps its heap between epochs whatever the data source.
+    Only one whole-graph evaluation forward is alive at a time: it is kept
+    past its epoch only when dropout is 0, and only until the next training
+    forward, which reuses it for a whole-graph batch.
     """
+    _pin_heap_thresholds()
     cfg.validate()
     dataset = build_dataset(cfg)
     if not dataset.train_mask.any() or not dataset.test_mask.any():
@@ -467,8 +492,9 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
     schedule = cfg.pacing_schedule()
     records: list[EpochRecord] = []
     batches: list[Batch] = []
-    # The last eval forward's (logits, cache) until the next Adam step. With
-    # dropout 0 train mode computes the same, so a whole-graph batch uses it.
+    # With dropout 0, the last eval forward's (logits, cache) until the next
+    # training forward: train mode computes the same, so a whole-graph batch
+    # uses it. With dropout above 0 it is always None.
     reusable = None
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(epoch_batches, cfg, dataset, partition, 0)
@@ -483,6 +509,7 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
                 if reusable is not None and _is_whole_graph(batch, dataset):
                     logits, cache = reusable
                 else:
+                    reusable = None  # freed before the forward that replaces it
                     dropout_seed = rng_streams.child_seed(cfg.seed, rng_streams.DROPOUT, epoch, j)
                     logits, cache = forward(params, batch, feats[batch.global_ids],
                                             train_mode=True, seed=dropout_seed)
@@ -501,9 +528,11 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
                     adam_step(values, grads, state)
                 except ValueError as exc:
                     raise RuntimeError(f"training diverged at epoch {epoch}: {exc}") from None
-            metrics, full_forward = _evaluate_epoch(cfg, dataset, feats, params, refinement, yk,
-                                                    batches, alpha)
-            reusable = full_forward if params.dropout == 0 else None
+            logits = cache = dlogits = dtrain = None  # freed before the eval forward
+            metrics, reusable = _evaluate_epoch(cfg, dataset, feats, params, refinement, yk,
+                                                batches, alpha)
+            if params.dropout != 0:
+                reusable = None
             records.append(EpochRecord(epoch=epoch, alpha_t=alpha, **metrics))
 
     stats = bias_stats([b for b in batches if b.train_local.size], dataset)

@@ -82,7 +82,7 @@ SBM_LAYOUTS = [  # blocks, nodes_per_block, p_in, p_out
 
 
 class TestChunkedSbm:
-    # None keeps the 32 MiB budget (one chunk here); the other row counts do
+    # None keeps the 8 MiB budget (one chunk here); the other row counts do
     # not divide the block sizes, so chunks start and end inside blocks
     @pytest.mark.parametrize("rows", [None, 1, 5, 17, 36])
     @pytest.mark.parametrize("layout", SBM_LAYOUTS)
@@ -103,7 +103,7 @@ class TestChunkedSbm:
         finally:
             tracemalloc.stop()
         assert d.num_nodes == 6000
-        assert peak < 100e6
+        assert peak < 30e6  # 19 MB at 8 MiB chunks, 42 MB at 32 MiB
 
 
 class TestGenerateSbm:
@@ -268,7 +268,7 @@ class TestMatrixPersistence:
 
 
 class TestFeatureCsv:
-    """Every CSV feature error names the file; an empty file is rejected on load."""
+    """Every CSV feature error names the file and line; an empty file is rejected on load."""
 
     @pytest.mark.parametrize("text, message", [
         ("1,2,3\n4,x,6\n", "could not convert string 'x'"),
@@ -281,8 +281,20 @@ class TestFeatureCsv:
         path.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's empty-input warning must not leak
-            with pytest.raises(ValueError, match=rf"x\.csv: {re.escape(message)}"):
+            with pytest.raises(ValueError, match=rf"x\.csv(:2)?: {re.escape(message)}"):
                 load_features(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("# c\n1,2\n3,y\n", "3: could not convert string 'y' to float"),
+        ("# c\n1,2\n3\n", "3: the number of columns changed from 2 to 1"),
+        ("1,2\n\n# c\n3,4,5\n", "4: the number of columns changed from 2 to 3"),
+    ])
+    def test_error_names_the_physical_line(self, tmp_path, text, message):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            load_features(path)
+        assert str(excinfo.value) == f"{path}:{message}"
 
     def test_empty_feature_file_rejected_before_the_other_files(self, tmp_path):
         (tmp_path / "x.csv").write_text("")

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +16,7 @@ import pytest
 
 from als_graph import harness
 from als_graph import rng as rng_streams
-from als_graph.data import SbmParams, generate_sbm
+from als_graph.data import SbmParams, generate_sbm, save_dataset
 from als_graph.harness import (
     ExperimentConfig,
     apply_overrides,
@@ -22,6 +27,7 @@ from als_graph.harness import (
     export_relevance,
     label_input_features,
     load_checkpoint,
+    load_config_file,
     parse_config_text,
     parse_sweep_grid,
     run_ablations,
@@ -37,6 +43,8 @@ from als_graph.reporting import load_report, report_to_dict, write_report
 from als_graph.smoothing import RefinementMatrix, alpha_at, init_refinement
 
 from conftest import refine_soft_label
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_cfg(**kwargs) -> ExperimentConfig:
@@ -280,6 +288,48 @@ class TestEvaluationForwards:
         # only each later epoch's first batch reuses the evaluation forward
         assert len(calls[True]) == 2 * cfg.epochs - (cfg.epochs - 1)
 
+    @pytest.mark.parametrize("extra, dropout", [
+        pytest.param(dict(sampler_kind="neighbor", fanouts=(3, 3), depth=2, seeds_per_batch=8),
+                     0.5, id="neighbor"),
+        pytest.param(dict(sampler_kind="cluster", num_parts=3, parts_per_batch=1), 0.5,
+                     id="cluster"),
+        pytest.param(dict(sampler_kind="cluster", num_parts=3, parts_per_batch=1), 0.0,
+                     id="cluster-no_dropout"),
+    ])
+    def test_unused_forwards_are_freed(self, monkeypatch, extra, dropout):
+        """No batch here is the whole graph, so no eval forward outlives its epoch's
+        training: it is gone before the next training forward or evaluation. The
+        last training forward is gone before the evaluation."""
+        alive: list[weakref.ref] = []  # arrays of the last eval forward
+        trained: list[weakref.ref] = []  # arrays of the last training forward
+        checks = {"train": 0, "eval": 0}
+        real_forward, real_evaluate = harness.forward, harness._evaluate_epoch
+
+        def refs(logits, cache, feats):
+            arrays = [logits, *cache.layer_inputs, *cache.preactivations]
+            return [weakref.ref(a) for a in arrays if a is not feats]
+
+        def forward(params, batch, features, train_mode, seed=0):
+            if not train_mode:
+                return real_forward(params, batch, features, train_mode, seed)
+            assert all(ref() is None for ref in alive)
+            checks["train"] += bool(alive)
+            logits, cache = real_forward(params, batch, features, train_mode, seed)
+            trained[:] = refs(logits, cache, features)
+            return logits, cache
+
+        def evaluate(cfg, dataset, feats, *args):
+            assert all(ref() is None for ref in alive + trained)
+            checks["eval"] += bool(alive)
+            metrics, (logits, cache) = real_evaluate(cfg, dataset, feats, *args)
+            alive[:] = refs(logits, cache, feats)
+            return metrics, (logits, cache)
+        monkeypatch.setattr(harness, "forward", forward)
+        monkeypatch.setattr(harness, "_evaluate_epoch", evaluate)
+        cfg = small_cfg(dropout=dropout, epochs=3, **extra)
+        run_training(cfg)
+        assert checks["eval"] == cfg.epochs - 1 and checks["train"] >= cfg.epochs - 1
+
     def test_partial_batches_get_one_forward_each(self, monkeypatch):
         calls = self.count_forwards(monkeypatch)
         for dropout in (0.5, 0.0):
@@ -293,6 +343,34 @@ class TestEvaluationForwards:
             assert min(per_epoch) > 1
             assert len(calls[True]) == sum(per_epoch)
             assert len(calls[False]) == sum(per_epoch) + cfg.epochs
+
+
+# Two file-loaded runs in one fresh process; prints the second run's minor faults.
+FAULT_PROBE = """
+import resource, sys
+from als_graph import harness
+cfg = harness.build_config(harness.apply_overrides(harness.load_config_file(sys.argv[1]), sys.argv[2:]))
+harness.run_experiment(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+harness.run_experiment(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="C library has no mallopt")
+def test_file_loaded_run_keeps_its_heap_between_epochs(tmp_path):
+    """Without pinned heap thresholds this run faults ~1,300 pages back in per epoch."""
+    protocol_cfg = ROOT / "configs" / "protocol.cfg"
+    paths = save_dataset(harness.build_dataset(build_config(load_config_file(protocol_cfg))),
+                         tmp_path)
+    overrides = ["data.source=files", "train.epochs=20",
+                 *(f"data.{name}={path}" for name, path in paths.items())]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(protocol_cfg), *overrides],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 2_000
 
 
 def serial_training(cfg: ExperimentConfig):
