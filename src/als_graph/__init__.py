@@ -6,108 +6,20 @@ This package provides the pieces to measure that effect and to counter it:
 sparse graph kernels, residual label propagation, three batch samplers, a
 learned label-refinement loss with pacing schedules, a small GCN/MLP with
 exact hand-derived gradients, and an experiment harness with a CLI.
+
+Each module's ``__all__`` is what the package exports.
 """
 
-from .data import Dataset, SbmParams, generate_sbm, load_dataset, one_hot, save_dataset
-from .graph import CsrGraph, add_self_loops, build_csr, induced_subgraph, normalized_spmm
-from .harness import (
-    ExperimentConfig,
-    build_config,
-    compare_label_exploitation,
-    export_relevance,
-    label_input_features,
-    run_ablations,
-    run_experiment,
-    run_repeated,
-    run_sweep,
-    run_training,
-)
-from .metrics import BiasStats, batch_class_fraction, bias_stats, confidence_stats
-from .model import (
-    ModelParams,
-    OptState,
-    adam_step,
-    backward,
-    forward,
-    init_model,
-    init_opt_state,
-    sign_precompute,
-)
-from .propagation import PropagationConfig, init_label_matrix, predict_by_propagation, propagate
-from .reporting import EpochRecord, ExperimentReport, load_report, write_report
-from .sampling import (
-    Batch,
-    Partition,
-    cluster_batches,
-    full_batch,
-    neighbor_sample,
-    partition_clusters,
-    random_walk_sample,
-)
-from .smoothing import (
-    LossBreakdown,
-    PacingSchedule,
-    RefinementMatrix,
-    alpha_at,
-    init_refinement,
-    loss_and_grads,
-    softmax_rows,
-)
+from . import data, graph, harness, metrics, model, propagation, reporting, sampling, smoothing
+from .data import *  # noqa: F401,F403
+from .graph import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .propagation import *  # noqa: F401,F403
+from .reporting import *  # noqa: F401,F403
+from .sampling import *  # noqa: F401,F403
+from .smoothing import *  # noqa: F401,F403
 
-__all__ = [
-    "Dataset",
-    "SbmParams",
-    "generate_sbm",
-    "load_dataset",
-    "one_hot",
-    "save_dataset",
-    "CsrGraph",
-    "add_self_loops",
-    "build_csr",
-    "induced_subgraph",
-    "normalized_spmm",
-    "ExperimentConfig",
-    "build_config",
-    "compare_label_exploitation",
-    "export_relevance",
-    "label_input_features",
-    "run_ablations",
-    "run_experiment",
-    "run_repeated",
-    "run_sweep",
-    "run_training",
-    "BiasStats",
-    "batch_class_fraction",
-    "bias_stats",
-    "confidence_stats",
-    "ModelParams",
-    "OptState",
-    "adam_step",
-    "backward",
-    "forward",
-    "init_model",
-    "init_opt_state",
-    "sign_precompute",
-    "PropagationConfig",
-    "init_label_matrix",
-    "predict_by_propagation",
-    "propagate",
-    "EpochRecord",
-    "ExperimentReport",
-    "load_report",
-    "write_report",
-    "Batch",
-    "Partition",
-    "cluster_batches",
-    "full_batch",
-    "neighbor_sample",
-    "partition_clusters",
-    "random_walk_sample",
-    "LossBreakdown",
-    "PacingSchedule",
-    "RefinementMatrix",
-    "alpha_at",
-    "init_refinement",
-    "loss_and_grads",
-    "softmax_rows",
-]
+__all__ = [name for module in (data, graph, harness, metrics, model, propagation, reporting,
+                               sampling, smoothing) for name in module.__all__]

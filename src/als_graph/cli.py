@@ -19,7 +19,7 @@ from .data import one_hot, read_edge_list, read_labels, read_matrix_binary, writ
 from .graph import build_csr
 from .metrics import bias_stats
 from .propagation import PropagationConfig, propagate
-from .reporting import write_report
+from .reporting import write_csv, write_report
 from .smoothing import RefinementMatrix
 
 
@@ -89,10 +89,8 @@ def cmd_analyze_bias(args) -> int:
         batches.extend(b for b in harness.epoch_batches(cfg, dataset, partition, epoch)
                        if b.train_local.size)
     stats = bias_stats(batches, dataset)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("class,mean,std\n")
-        for c in range(dataset.num_classes):
-            fh.write(f"{c},{float(stats.mean[c])!r},{float(stats.std[c])!r}\n")
+    write_csv(args.out, ("class", "mean", "std"),
+              zip(range(dataset.num_classes), stats.mean.tolist(), stats.std.tolist()))
     print(f"wrote per-class batch fraction stats over {stats.batch_count} batches to {args.out}")
     return 0
 

@@ -30,12 +30,6 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "one_hot",
-    "read_edge_list",
-    "read_labels",
-    "write_matrix_binary",
-    "read_matrix_binary",
-    "write_features",
-    "load_features",
 ]
 
 MATRIX_MAGIC = b"ALSM"
@@ -327,6 +321,7 @@ def write_matrix_binary(matrix: np.ndarray, path) -> Path:
     if matrix.ndim != 2:
         raise ValueError("only 2-d matrices are supported")
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sIII", MATRIX_MAGIC, 8, matrix.shape[0], matrix.shape[1]))
         fh.write(matrix.astype("<f8").tobytes())
@@ -357,6 +352,7 @@ def read_matrix_binary(path) -> np.ndarray:
 
 def write_matrix_csv(matrix: np.ndarray, path) -> Path:
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for row in np.asarray(matrix, dtype=np.float64):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")

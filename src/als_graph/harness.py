@@ -44,7 +44,7 @@ from .model import (
     sign_precompute,
 )
 from .propagation import PropagationConfig, init_label_matrix, predict_by_propagation, propagate
-from .reporting import EpochRecord, ExperimentReport, write_report
+from .reporting import EpochRecord, ExperimentReport, write_csv, write_report
 from .sampling import (
     Batch,
     Partition,
@@ -66,16 +66,7 @@ from .smoothing import (
 
 __all__ = [
     "ExperimentConfig",
-    "TrainingResult",
-    "parse_config_text",
-    "load_config_file",
-    "apply_overrides",
     "build_config",
-    "config_to_flat",
-    "parse_sweep_grid",
-    "build_dataset",
-    "build_partition",
-    "epoch_batches",
     "run_training",
     "run_experiment",
     "run_repeated",
@@ -84,8 +75,6 @@ __all__ = [
     "compare_label_exploitation",
     "run_ablations",
     "run_sweep",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 
@@ -552,20 +541,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return run_training(cfg).report
 
 
-def run_repeated(cfg: ExperimentConfig, repeats: int | None = None):
-    """Run ``repeats`` seeds (base seed + i); aggregate final test accuracy.
+def run_repeated(cfg: ExperimentConfig):
+    """Run ``cfg.repeats`` seeds (base seed + i); aggregate final test accuracy.
 
     Returns (aggregated report carrying the base seed's curves, per-seed
     reports).
     """
-    repeats = cfg.repeats if repeats is None else repeats
-    reports = [run_experiment(replace(cfg, seed=cfg.seed + i)) for i in range(repeats)]
+    reports = [run_experiment(replace(cfg, seed=cfg.seed + i)) for i in range(cfg.repeats)]
     final = np.array([r.per_epoch[-1].test_acc for r in reports])
     aggregated = dataclasses.replace(
         reports[0],
         final_test_acc_mean=float(final.mean()),
-        final_test_acc_std=float(final.std(ddof=1)) if repeats > 1 else 0.0,
-        seeds=[cfg.seed + i for i in range(repeats)],
+        final_test_acc_std=float(final.std(ddof=1)) if cfg.repeats > 1 else 0.0,
+        seeds=[cfg.seed + i for i in range(cfg.repeats)],
     )
     return aggregated, reports
 
@@ -581,7 +569,7 @@ def export_relevance(refinement: RefinementMatrix, path) -> Path:
     return write_matrix_csv(softmax_rows(refinement.w), path)
 
 
-def compare_label_exploitation(cfg: ExperimentConfig, out_csv=None) -> list[dict]:
+def compare_label_exploitation(cfg: ExperimentConfig, out_csv) -> list[dict]:
     """Propagation-only, label-input and adaptive smoothing under one config.
 
     Accuracy for the parameter-free propagation baseline counts abstaining
@@ -610,12 +598,12 @@ def compare_label_exploitation(cfg: ExperimentConfig, out_csv=None) -> list[dict
             "final_test_acc_mean": aggregated.final_test_acc_mean,
             "final_test_acc_std": aggregated.final_test_acc_std,
         })
-    if out_csv is not None:
-        _write_rows_csv(rows, out_csv, ("method", "final_test_acc_mean", "final_test_acc_std"))
+    columns = ("method", "final_test_acc_mean", "final_test_acc_std")
+    write_csv(out_csv, columns, ([row[c] for c in columns] for row in rows))
     return rows
 
 
-def run_ablations(cfg: ExperimentConfig, out_dir=None) -> dict[str, ExperimentReport]:
+def run_ablations(cfg: ExperimentConfig, out_dir) -> dict[str, ExperimentReport]:
     """Full adaptive smoothing against its three single-module ablations."""
     base = replace(cfg, loss_mode="als", no_propagation=False, no_refinement=False,
                    no_pacing=False, label_input=False)
@@ -629,15 +617,11 @@ def run_ablations(cfg: ExperimentConfig, out_dir=None) -> dict[str, ExperimentRe
     for name, variant in variants.items():
         aggregated, _ = run_repeated(variant.validate())
         results[name] = aggregated
-        if out_dir is not None:
-            write_report(aggregated, Path(out_dir) / f"{name}.json")
-    if out_dir is not None:
-        rows = [{"variant": name,
-                 "final_test_acc_mean": rep.final_test_acc_mean,
-                 "final_test_acc_std": rep.final_test_acc_std}
-                for name, rep in results.items()]
-        _write_rows_csv(rows, Path(out_dir) / "ablation_summary.csv",
-                        ("variant", "final_test_acc_mean", "final_test_acc_std"))
+        write_report(aggregated, Path(out_dir) / f"{name}.json")
+    write_csv(Path(out_dir) / "ablation_summary.csv",
+              ("variant", "final_test_acc_mean", "final_test_acc_std"),
+              [(name, rep.final_test_acc_mean, rep.final_test_acc_std)
+               for name, rep in results.items()])
     return results
 
 
@@ -658,19 +642,9 @@ def run_sweep(cfg: ExperimentConfig, grid: dict[str, list], out_dir) -> list[dic
         rows.append({**point,
                      "final_test_acc_mean": aggregated.final_test_acc_mean,
                      "final_test_acc_std": aggregated.final_test_acc_std})
-    _write_rows_csv(rows, out_dir / "sweep_summary.csv",
-                    (*attrs, "final_test_acc_mean", "final_test_acc_std"))
+    columns = (*attrs, "final_test_acc_mean", "final_test_acc_std")
+    write_csv(out_dir / "sweep_summary.csv", columns, ([row[c] for c in columns] for row in rows))
     return rows
-
-
-def _write_rows_csv(rows: list[dict], path, columns) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in columns) + "\n")
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +652,7 @@ def _write_rows_csv(rows: list[dict], path, columns) -> Path:
 
 
 def save_checkpoint(directory, params: ModelParams, refinement: RefinementMatrix | None,
-                    cfg: ExperimentConfig | None = None) -> Path:
+                    cfg: ExperimentConfig) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -687,7 +661,7 @@ def save_checkpoint(directory, params: ModelParams, refinement: RefinementMatrix
         "weights": [],
         "biases": [],
         "refinement": None,
-        "config": config_to_flat(cfg) if cfg is not None else None,
+        "config": config_to_flat(cfg),
     }
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         wname, bname = f"weight_{i}.bin", f"bias_{i}.bin"

@@ -26,7 +26,6 @@ from .sampling import Batch
 
 __all__ = [
     "ModelParams",
-    "ForwardCache",
     "OptState",
     "init_model",
     "forward",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .metrics import BiasStats
 
-__all__ = ["EpochRecord", "ExperimentReport", "write_report", "load_report", "report_to_dict"]
+__all__ = ["EpochRecord", "ExperimentReport", "write_report", "load_report"]
 
 CSV_COLUMNS = ("epoch", "alpha_t", "train_loss", "test_loss", "train_acc", "test_acc", "mean_max_prob")
 
@@ -96,12 +96,19 @@ def write_report(report: ExperimentReport, path) -> tuple[Path, Path]:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    csv_path = path.with_suffix(".csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in report.per_epoch:
-            fh.write(",".join(repr(getattr(rec, col)) for col in CSV_COLUMNS) + "\n")
-    return path, csv_path
+    rows = ([getattr(rec, col) for col in CSV_COLUMNS] for rec in report.per_epoch)
+    return path, write_csv(path.with_suffix(".csv"), CSV_COLUMNS, rows)
+
+
+def write_csv(path, columns, rows) -> Path:
+    """Header line, then one line of ``str`` values per row; creates the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+    return path
 
 
 def load_report(path) -> ExperimentReport:

@@ -21,10 +21,8 @@ __all__ = [
     "LossBreakdown",
     "alpha_at",
     "init_refinement",
-    "smooth_labels",
     "loss_and_grads",
     "softmax_rows",
-    "refinement_op_count",
 ]
 
 PROB_FLOOR = 1e-12  # predicted probabilities are clamped here before log

@@ -7,7 +7,7 @@ import pytest
 
 from als_graph import harness
 from als_graph.cli import main
-from als_graph.data import read_matrix_binary
+from als_graph.data import read_matrix_binary, write_matrix_binary
 
 SMALL_CONFIG = """
 sbm.blocks = 3
@@ -176,6 +176,29 @@ def test_sweep_with_grid(tmp_path):
     assert code == 0
     assert (out_dir / "sweep_summary.csv").exists()
     assert len(list(out_dir.glob("sweep_*.json"))) == 2
+
+
+@pytest.mark.parametrize("command, out_name", [
+    ("train", "r.json"),
+    ("analyze-bias", "bias.csv"),
+    ("propagate", "yk.bin"),
+    ("export-relevance", "rel.csv"),
+])
+def test_out_path_directory_is_created(tmp_path, config_path, command, out_name):
+    (tmp_path / "g.tsv").write_text("0\t1\n1\t2\n")
+    (tmp_path / "y.csv").write_text("0,1\n")
+    write_matrix_binary(np.eye(3), tmp_path / "w.bin")
+    inputs = {
+        "train": ["--config", str(config_path)],
+        "analyze-bias": ["--config", str(config_path)],
+        "propagate": ["--graph", str(tmp_path / "g.tsv"), "--labels", str(tmp_path / "y.csv")],
+        "export-relevance": ["--checkpoint", str(tmp_path / "w.bin")],
+    }
+    out = tmp_path / "missing" / out_name
+    assert main([command, *inputs[command], "--out", str(out)]) == 0
+    assert out.exists()
+    if command == "train":  # the relevance CSV is written before the report
+        assert (out.parent / "r.relevance.csv").exists() and (out.parent / "r.csv").exists()
 
 
 def test_export_relevance_from_checkpoint(tmp_path, config_path):

@@ -557,7 +557,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key", ["arch", "dropout", "weights", "biases"])
     def test_manifest_missing_key_names_file_and_key(self, tmp_path, key):
         result = run_training(small_cfg(epochs=1))
-        save_checkpoint(tmp_path, result.params, result.refinement)
+        save_checkpoint(tmp_path, result.params, result.refinement, small_cfg(epochs=1))
         manifest = tmp_path / "manifest.json"
         doc = json.loads(manifest.read_text())
         del doc[key]
