@@ -288,6 +288,8 @@ def parse_sweep_grid(mapping: dict[str, str]) -> dict[str, list]:
     for key, attr in _SWEEP_KEYS.items():
         if key in mapping:
             tokens = [tok.strip() for tok in str(mapping[key]).split(",") if tok.strip()]
+            if not tokens:
+                raise ValueError(f"config key {key}: no values")
             cast = int if attr == "k_steps" else float
             try:
                 grid[attr] = [cast(tok) for tok in tokens]
@@ -406,19 +408,24 @@ def _evaluate_epoch(cfg: ExperimentConfig, dataset: Dataset, feats: np.ndarray,
 
 
 def _pin_heap_thresholds() -> None:
-    """Fix glibc's mmap and trim thresholds for the rest of the process.
+    """Fix glibc's mmap and trim thresholds and its arena count for the process.
 
     By default glibc raises both thresholds after a large mapped block is
     freed, so whether the training loop's ~2 MB temporaries stay mapped
     between epochs, or are returned to the system and faulted back in, would
     depend on what set-up happened to free. The pinned values are those a
-    32 MiB free leaves. A C library without ``mallopt`` is left as it is.
+    32 MiB free leaves. One arena (``M_ARENA_MAX``) makes the prefetch
+    thread's batches come from the main heap, whose free space they reuse,
+    instead of a second heap that adds its own pages to the peak; the call
+    runs before that thread exists. A C library without ``mallopt`` is left
+    as it is.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-8, 1)  # M_ARENA_MAX
 
 
 @dataclass
@@ -441,9 +448,10 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
     and a sampler error is raised at the epoch whose batches failed, with
     its own type and message; no thread outlives the call.
 
-    The call first pins glibc's mmap threshold to 32 MiB and its trim
-    threshold to 64 MiB for the whole process (see ``_pin_heap_thresholds``),
-    so the loop keeps its heap between epochs whatever the data source.
+    The call first pins glibc's mmap threshold to 32 MiB, its trim
+    threshold to 64 MiB and its arena count to one for the whole process
+    (see ``_pin_heap_thresholds``), so the loop keeps one heap between
+    epochs whatever the data source.
     Only one whole-graph evaluation forward is alive at a time: it is kept
     past its epoch only when dropout is 0, and only until the next training
     forward, which reuses it for a whole-graph batch.

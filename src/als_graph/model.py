@@ -8,10 +8,14 @@ weight matrix: a layer that narrows (``fan_out < fan_in``) computes
 forward and backward, is ``min(fan_in, fan_out)`` columns wide. On a layered
 (neighbor) batch each layer computes only the rows the next layer reads,
 through the batch's rectangular per-layer operator blocks, and the logits
-hold the loss rows only. The optimizer is standard bias-corrected adaptive
-moments, updated in place over a flat list of parameter arrays, and the
-inception-style precompute stacks powers of the normalized adjacency applied
-to the features.
+hold the loss rows only. The forward keeps only what the backward reads:
+each layer's input, one-byte ReLU gates and dropout keep masks, and the
+logits. Both passes work in place on arrays they allocated, and the
+backward releases each layer's cache entries once that layer's gradients
+are formed, so a cache serves one backward. The optimizer is standard
+bias-corrected adaptive moments, updated in place over a flat list of
+parameter arrays, and the inception-style precompute stacks powers of the
+normalized adjacency applied to the features.
 """
 from __future__ import annotations
 
@@ -79,11 +83,21 @@ def init_model(arch: str, dims, dropout: float, seed: int) -> ModelParams:
 
 @dataclass
 class ForwardCache:
+    """What ``backward`` reads, and nothing more.
+
+    Per layer its operator and cached input; per hidden layer its ReLU gate
+    ``z > 0`` and its row-selected dropout keep mask (both ``bool``; the
+    mask is None without dropout); and the logits. ``backward`` sets each
+    layer's input, gate and mask to None once that layer's gradients are
+    formed, so a cache serves exactly one backward.
+    """
+
     params: ModelParams
     operators: list[CsrGraph | sp.csr_array | None]
-    layer_inputs: list[np.ndarray]
-    preactivations: list[np.ndarray]
+    layer_inputs: list[np.ndarray | None]
+    gates: list[np.ndarray | None]
     dropout_masks: list[np.ndarray | None]
+    logits: np.ndarray | None = None
 
 
 def _layer(params: ModelParams, batch: Batch, layer: int):
@@ -128,13 +142,14 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
     batch the ``train_local`` rows only (``batch.loss_rows`` indexes them).
     Each layer of a layered batch computes only the rows the next layer
     reads. Dropout applies to hidden activations only and only in train
-    mode, with inverted scaling baked into the stored masks; masks are drawn
-    for every batch row and then row-selected, so the random stream does not
-    depend on the restriction. With dropout 0 train and eval mode are the
-    same computation.
+    mode, with inverted scaling; masks are drawn for every batch row and
+    then row-selected, so the random stream does not depend on the
+    restriction. With dropout 0 train and eval mode are the same computation.
 
     A GCN layer that narrows computes ``A(HW) + b`` and caches its input
-    ``H``; every other layer computes ``(AH)W + b`` and caches ``AH``.
+    ``H``; every other layer computes ``(AH)W + b`` and caches ``AH``. Each
+    layer's bias, ReLU and dropout work in place on the layer's own
+    pre-activation array; ``features`` is never written.
     """
     h = np.asarray(features, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != batch.num_nodes:
@@ -142,7 +157,8 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
     if h.shape[1] != params.weights[0].shape[0]:
         raise ValueError(f"feature width {h.shape[1]} does not match the input layer "
                          f"({params.weights[0].shape[0]})")
-    gen = stream(seed) if train_mode and params.dropout > 0 else None
+    p = params.dropout
+    gen = stream(seed) if train_mode and p > 0 else None
     cache = ForwardCache(params, [], [], [], [])
     if params.arch == "mlp" and batch.layer_graphs is not None:
         h = h[batch.train_local]  # mlp rows are independent: keep only the loss rows
@@ -150,24 +166,27 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
         op, rows = _layer(params, batch, layer)
         if _projects_first(op, w):
             x = h
-            z = _aggregate(op, h @ w) + b
+            z = _aggregate(op, h @ w)
         else:
             x = h if op is None else _aggregate(op, h)
-            z = x @ w + b
+            z = x @ w
+        z += b
         cache.operators.append(op)
         cache.layer_inputs.append(x)
-        cache.preactivations.append(z)
-        if layer < params.depth - 1:
-            h = np.maximum(z, 0.0)
-            mask = None
-            if gen is not None:
-                keep = gen.random((batch.num_nodes, h.shape[1])) >= params.dropout
-                mask = (keep if rows is None else keep[rows]) / (1.0 - params.dropout)
-                h = h * mask
-            cache.dropout_masks.append(mask)
-        else:
-            cache.dropout_masks.append(None)
-    return cache.preactivations[-1], cache
+        if layer == params.depth - 1:
+            break
+        cache.gates.append(z > 0)
+        h = np.maximum(z, 0.0, out=z)
+        keep = None
+        if gen is not None:
+            keep = gen.random((batch.num_nodes, h.shape[1])) >= p
+            if rows is not None:
+                keep = keep[rows]
+            h *= 1.0 / (1.0 - p)
+            h *= keep
+        cache.dropout_masks.append(keep)
+    cache.logits = z
+    return z, cache
 
 
 def backward(params: ModelParams, cache: ForwardCache,
@@ -181,35 +200,41 @@ def backward(params: ModelParams, cache: ForwardCache,
     On a layered batch ``A`` is the layer's rectangular block, so ``dH``
     has the rows of the layer's input. The first layer's ``dH`` is never
     formed.
+
+    The pass consumes ``cache``: each layer's input, gate and dropout mask
+    are released once its weight gradient is formed, and a second call on
+    the same cache raises ``ValueError``. Below the logits the dropout and
+    ReLU gates are multiplied into the backward's own ``dH`` in place, so
+    ``dlogits`` is never written.
     """
     if cache.params is not params:
         raise ValueError("stale cache: it was produced by a different forward call")
+    if cache.layer_inputs[-1] is None:
+        raise ValueError("consumed cache: backward already ran on it")
     dlogits = np.asarray(dlogits, dtype=np.float64)
-    if dlogits.shape != cache.preactivations[-1].shape:
+    if dlogits.shape != cache.logits.shape:
         raise ValueError("dlogits shape does not match the cached logits")
     wgrads = [np.empty(0)] * params.depth
     bgrads = [np.empty(0)] * params.depth
     dh = dlogits
     for layer in range(params.depth - 1, -1, -1):
-        if layer < params.depth - 1:
-            mask = cache.dropout_masks[layer]
-            if mask is not None:
-                dh = dh * mask
-            dz = dh * (cache.preactivations[layer] > 0)
-        else:
-            dz = dh
-        bgrads[layer] = dz.sum(axis=0)
+        if layer < params.depth - 1:  # dh is this pass's own array from here on
+            if cache.dropout_masks[layer] is not None:
+                dh *= 1.0 / (1.0 - params.dropout)
+                dh *= cache.dropout_masks[layer]
+            dh *= cache.gates[layer]
+            cache.gates[layer] = cache.dropout_masks[layer] = None
+        bgrads[layer] = dh.sum(axis=0)  # dh is dz here
         w, op = params.weights[layer], cache.operators[layer]
-        if _projects_first(op, w):
-            adz = _aggregate(op, dz, transpose=True)
-            wgrads[layer] = cache.layer_inputs[layer].T @ adz
-            if layer:
-                dh = adz @ w.T
-        else:
-            wgrads[layer] = cache.layer_inputs[layer].T @ dz
-            if layer:
-                dagg = dz @ w.T
-                dh = dagg if op is None else _aggregate(op, dagg, transpose=True)
+        narrows = _projects_first(op, w)
+        if narrows:
+            dh = _aggregate(op, dh, transpose=True)  # adz
+        wgrads[layer] = cache.layer_inputs[layer].T @ dh
+        cache.layer_inputs[layer] = None
+        if layer:
+            dh = dh @ w.T
+            if op is not None and not narrows:
+                dh = _aggregate(op, dh, transpose=True)
     return wgrads, bgrads
 
 

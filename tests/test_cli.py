@@ -168,6 +168,17 @@ def test_sweep_requires_grid(tmp_path, config_path, capsys):
     assert "sweep" in err["message"]
 
 
+@pytest.mark.parametrize("values", [",", ""])
+def test_sweep_key_with_no_values_is_rejected(tmp_path, config_path, capsys, values):
+    out_dir = tmp_path / "s"
+    code = main(["sweep", "--config", str(config_path), "--out-dir", str(out_dir),
+                 f"sweep.gamma={values}"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": "config key sweep.gamma: no values"}
+    assert not (out_dir / "sweep_summary.csv").exists()
+
+
 def test_sweep_with_grid(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SMALL_CONFIG + "sweep.r = 0.01,0.02\n")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,24 @@ class TestBuildCsr:
                 got.add((u, int(v)))
         assert got == expected
         assert g.nnz == len(expected)
+
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    def test_large_graph_matches_unique_and_peaks_under_four_times_its_output(self, symmetrize):
+        # 100k random pairs on 5,000 nodes, some repeated; sorting and
+        # deduplicating the doubled pair array and its codes traced about 7x
+        pairs = np.random.default_rng(0).integers(0, 5000, size=(100_000, 2))
+        stored = np.concatenate([pairs, pairs[:, ::-1]]) if symmetrize else pairs
+        expected = np.unique(stored, axis=0)
+        del stored
+        tracemalloc.start()
+        try:
+            g = build_csr(pairs, 5000, symmetrize=symmetrize)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(g.col_indices, expected[:, 1])
+        assert np.array_equal(np.diff(g.row_offsets), np.bincount(expected[:, 0], minlength=5000))
+        assert peak <= 4 * (g.row_offsets.nbytes + g.col_indices.nbytes)
 
     def test_rejects_malformed_offsets(self):
         with pytest.raises(ValueError):

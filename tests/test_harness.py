@@ -306,7 +306,7 @@ class TestEvaluationForwards:
         real_forward, real_evaluate = harness.forward, harness._evaluate_epoch
 
         def refs(logits, cache, feats):
-            arrays = [logits, *cache.layer_inputs, *cache.preactivations]
+            arrays = [logits, *cache.layer_inputs, *cache.gates]
             return [weakref.ref(a) for a in arrays if a is not feats]
 
         def forward(params, batch, features, train_mode, seed=0):
