@@ -43,8 +43,11 @@ class CsrGraph:
             raise ValueError("row_offsets must be nondecreasing, start at 0 and end at nnz")
         if cols.size and (cols.min() < 0 or cols.max() >= self.num_nodes):
             raise ValueError("column index out of range")
-        row_of = np.repeat(np.arange(self.num_nodes), np.diff(offsets))
-        if cols.size > 1 and np.any((row_of[1:] == row_of[:-1]) & (np.diff(cols) <= 0)):
+        # a column may drop only where a row starts; offsets at 0 or nnz start no entry
+        drop = cols[1:] <= cols[:-1]
+        starts = offsets[(offsets > 0) & (offsets < cols.size)]
+        drop[starts - 1] = False
+        if drop.any():
             raise ValueError("column indices must be strictly increasing within each row")
         offsets.setflags(write=False)
         cols.setflags(write=False)
@@ -72,20 +75,18 @@ class CsrGraph:
 
     @cached_property
     def _sym_norm_op(self) -> sp.csr_array:
-        """D^-1/2 (A + I) D^-1/2 with D the degrees of A + I."""
-        scale = 1.0 / np.sqrt(self.degrees + 1.0)
-        op = (self._scipy + sp.identity(self.num_nodes, format="csr")).tocsr()
-        op.data *= np.repeat(scale, np.diff(op.indptr)) * scale[op.indices]
-        return op
+        """D^-1/2 (A + I) D^-1/2 with D the degrees of A + I: ``_sym_norm_rows`` on every row."""
+        return _sym_norm_rows(self, np.arange(self.num_nodes))[0]
 
 
 def build_csr(edge_list, num_nodes: int, symmetrize: bool = False) -> CsrGraph:
     """Canonical CSR from a list of (src, dst) pairs.
 
     Duplicates are removed; with ``symmetrize`` both directions of every pair
-    are stored. Node ids must lie in ``[0, num_nodes)``. Besides its output
-    the call holds one edge-code array and a byte per code, so its traced
-    peak, with ``CsrGraph``'s checks, stays under 4x the CSR it returns.
+    are stored. Node ids must lie in ``[0, num_nodes)``. The output's column
+    array is the array of edge codes, one per stored direction, reduced in
+    place. Besides it the call holds a byte per code, a 128 KiB slice and a
+    few arrays per node, with ``CsrGraph``'s checks included.
     """
     if num_nodes <= 0:
         raise ValueError("num_nodes must be positive")
@@ -110,8 +111,13 @@ def build_csr(edge_list, num_nodes: int, symmetrize: bool = False) -> CsrGraph:
     keep = np.empty(codes.size, dtype=bool)
     keep[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
-    if not keep.all():
-        codes = codes[keep]
+    if not keep.all():  # compact in place, a 128 KiB slice at a time: no second code array
+        kept, step = 0, 1 << 14
+        for lo in range(0, codes.size, step):
+            chunk = codes[lo : lo + step][keep[lo : lo + step]]
+            codes[kept : kept + chunk.size] = chunk
+            kept += chunk.size
+        codes.resize(kept, refcheck=False)
     del keep
     # row u's codes are those in [u * n, (u + 1) * n); the remainders are its columns
     offsets = np.searchsorted(codes, np.arange(num_nodes + 1) * num_nodes)
@@ -186,8 +192,33 @@ def induced_subgraph(g: CsrGraph, nodes) -> tuple[CsrGraph, np.ndarray]:
     at = np.minimum(np.searchsorted(ordered, nbrs), nodes.size - 1)
     inside = ordered[at] == nbrs
     rows = np.repeat(np.arange(nodes.size), g.degrees[nodes])[inside]
-    # rows arrive grouped; sorting the codes puts each row's local columns in order
-    codes = np.sort(rows * nodes.size + local_of[at[inside]])
-    offsets = np.zeros(nodes.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nodes.size), out=offsets[1:])
-    return CsrGraph(nodes.size, offsets, codes % nodes.size), nodes.copy()
+    pairs = np.stack([rows, local_of[at[inside]]], axis=1)
+    return build_csr(pairs, nodes.size), nodes.copy()
+
+
+def _sym_norm_rows(g: CsrGraph, rows: np.ndarray) -> tuple[sp.csr_array, np.ndarray]:
+    """Rows ``rows`` of D^-1/2 (A + I) D^-1/2 on ``g``, narrowed to the nodes they read.
+
+    Returns ``(block, columns)``: ``columns`` lists, ascending, the nodes the
+    rows read (each row reads itself and its neighbours), and column ``j`` of
+    ``block`` is node ``columns[j]``. On every row, ``columns`` is every node
+    and ``block`` the whole operator. Each row's entries are in ascending
+    node id, so a row sums in the same order whichever block holds it.
+    """
+    src, nbrs, _ = _gather_rows(g, rows)
+    lengths = g.degrees[rows]
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    # the self loop goes after the row's neighbours with smaller ids
+    below = np.concatenate(([0], np.cumsum(nbrs < src)))
+    cols = np.insert(nbrs, starts + below[ends] - below[starts], rows)
+    scale = 1.0 / np.sqrt(g.degrees + 1.0)
+    data = np.repeat(scale[rows], lengths + 1) * scale[cols]
+    indptr = np.concatenate(([0], ends + np.arange(1, rows.size + 1)))
+    read = np.zeros(g.num_nodes, dtype=bool)
+    read[cols] = True
+    position = np.cumsum(read) - 1
+    block = sp.csr_array((data, position[cols], indptr), shape=(rows.size, position[-1] + 1))
+    if np.any(nbrs == src):
+        block.sum_duplicates()  # a stored self loop adds up with I, as in A + I
+    return block, np.flatnonzero(read)

@@ -62,10 +62,6 @@ class ModelParams:
     def depth(self) -> int:
         return len(self.weights)
 
-    @property
-    def num_classes(self) -> int:
-        return self.weights[-1].shape[1]
-
 
 def init_model(arch: str, dims, dropout: float, seed: int) -> ModelParams:
     """Uniform +-sqrt(6 / (fan_in + fan_out)) weights, zero biases."""

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import Dataset
-from .graph import CsrGraph, _gather_rows, build_csr, induced_subgraph
+from .graph import CsrGraph, _gather_rows, _sym_norm_rows, build_csr, induced_subgraph
 from .rng import stream
 
 __all__ = [
@@ -36,12 +36,14 @@ class Batch:
     ``layer_graphs`` None and every layer uses ``subgraph`` on every row.
 
     A layered batch also records, per layer, the rows that layer outputs and
-    its operator restricted to them (both derived from ``layer_graphs`` on
-    construction). The last layer outputs the ``train_local`` rows, in that
-    order; layer ``l - 1`` outputs layer ``l``'s rows plus their neighbours
-    in ``layer_graphs[l]``, in ascending order; layer 0 reads every batch
-    row. ``layer_blocks[l]`` is the rows x input-rows block of layer ``l``'s
-    D^-1/2 (A + I) D^-1/2, entry for entry as ``normalized_spmm`` applies it.
+    its operator restricted to them (both built from ``layer_graphs`` by
+    ``graph._sym_norm_rows`` on construction). The last layer outputs the
+    ``train_local`` rows, in that order; layer ``l - 1`` outputs layer
+    ``l``'s rows plus their neighbours in ``layer_graphs[l]``, in ascending
+    order. ``layer_blocks[l]`` is the rows x input-rows block of layer
+    ``l``'s D^-1/2 (A + I) D^-1/2, entry for entry as ``normalized_spmm``
+    applies it. Layer 0's block is narrowed to the rows it reads too, so
+    layer 0 must read every batch row, as it does in neighbor batches.
     """
 
     subgraph: CsrGraph | None
@@ -58,17 +60,9 @@ class Batch:
             raise ValueError("every layer graph must span the batch nodes")
         rows = np.asarray(self.train_local, dtype=np.int64)
         layer_rows, blocks = [], []
-        for layer in range(len(self.layer_graphs) - 1, -1, -1):
-            block = _sym_norm_rows(self.layer_graphs[layer], rows)
+        for g in reversed(self.layer_graphs):  # a layer outputs the rows the one above reads
             layer_rows.append(rows)
-            if layer:  # narrow the columns to the rows the layer below outputs
-                read = np.zeros(self.num_nodes, dtype=bool)
-                read[block.indices] = True
-                rows = np.flatnonzero(read)
-                position = np.empty(self.num_nodes, dtype=np.int64)
-                position[rows] = np.arange(rows.size)
-                block = sp.csr_array((block.data, position[block.indices], block.indptr),
-                                     shape=(block.shape[0], rows.size))
+            block, rows = _sym_norm_rows(g, rows)
             blocks.append(block)
         self.layer_rows = tuple(reversed(layer_rows))
         self.layer_blocks = tuple(reversed(blocks))
@@ -109,29 +103,6 @@ class Partition:
         """The nodes of ``parts``, ascending; the cost follows their count, not n."""
         chosen = [self._by_part[self._bounds[p] : self._bounds[p + 1]] for p in np.unique(parts)]
         return np.sort(np.concatenate(chosen))
-
-
-def _sym_norm_rows(g: CsrGraph, rows: np.ndarray) -> sp.csr_array:
-    """Rows ``rows`` of D^-1/2 (A + I) D^-1/2 on ``g``, built from its CSR arrays.
-
-    Each row holds the entries of ``g._sym_norm_op``'s row in the same order
-    with the same values, so a product with it sums exactly what the square
-    operator sums for that row.
-    """
-    src, nbrs, _ = _gather_rows(g, rows)
-    lengths = g.degrees[rows]
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    # the self loop goes after the row's neighbours with smaller ids
-    below = np.concatenate(([0], np.cumsum(nbrs < src)))
-    cols = np.insert(nbrs, starts + below[ends] - below[starts], rows)
-    scale = 1.0 / np.sqrt(g.degrees + 1.0)
-    data = np.repeat(scale[rows], lengths + 1) * scale[cols]
-    indptr = np.concatenate(([0], ends + np.arange(1, rows.size + 1)))
-    block = sp.csr_array((data, cols, indptr), shape=(rows.size, g.num_nodes))
-    if np.any(nbrs == src):
-        block.sum_duplicates()  # a stored self loop adds up with I, as in A + I
-    return block
 
 
 # balanced label-propagation rounds after growth; each costs one pass over the edges

@@ -95,15 +95,11 @@ class RefinementMatrix:
         if not np.isfinite(self.w).all():
             raise ValueError("relevance matrix must be finite")
 
-    @property
-    def num_classes(self) -> int:
-        return self.w.shape[0]
 
-
-def init_refinement(num_classes: int, seed: int, scale: float = 0.01) -> RefinementMatrix:
+def init_refinement(num_classes: int, seed: int) -> RefinementMatrix:
     """Small Gaussian init so early soft targets stay close to uniform."""
     gen = stream(seed)
-    return RefinementMatrix(scale * gen.standard_normal((num_classes, num_classes)))
+    return RefinementMatrix(0.01 * gen.standard_normal((num_classes, num_classes)))
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:

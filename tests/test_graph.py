@@ -15,6 +15,7 @@ from conftest import (
     neighbors,
     random_undirected,
     structurally_equal,
+    to_dense,
 )
 
 
@@ -76,11 +77,52 @@ class TestBuildCsr:
         assert np.array_equal(np.diff(g.row_offsets), np.bincount(expected[:, 0], minlength=5000))
         assert peak <= 4 * (g.row_offsets.nbytes + g.col_indices.nbytes)
 
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    def test_large_graph_peaks_under_twice_its_output(self, symmetrize):
+        # the same pairs; duplicates are compacted in place and CsrGraph's order
+        # check takes a byte per entry, so only the output is int64 per entry
+        pairs = np.random.default_rng(0).integers(0, 5000, size=(100_000, 2))
+        tracemalloc.start()
+        try:
+            g = build_csr(pairs, 5000, symmetrize=symmetrize)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.nnz < pairs.shape[0] * (2 if symmetrize else 1)  # duplicates were dropped
+        assert peak <= 2 * (g.row_offsets.nbytes + g.col_indices.nbytes)
+
     def test_rejects_malformed_offsets(self):
         with pytest.raises(ValueError):
             CsrGraph(2, np.array([0, 2, 1]), np.array([0, 1, 0]))
         with pytest.raises(ValueError, match="strictly increasing"):
             CsrGraph(2, np.array([0, 2, 2]), np.array([1, 1]))
+
+
+class TestCsrGraphRowOrder:
+    """Columns may fall only where a row starts, whichever rows are empty."""
+
+    @pytest.mark.parametrize("offsets, cols", [
+        ([0, 0, 2, 3], [1, 2, 0]),  # empty first row
+        ([0, 2, 2, 3], [1, 2, 0]),  # empty middle row
+        ([0, 2, 3, 3], [1, 2, 0]),  # empty last row
+        ([0, 0, 0, 0], []),  # nnz 0
+        ([0, 0, 1, 1], [2]),  # nnz 1
+        ([0, 1, 2, 3], [2, 1, 0]),  # a drop across every row start
+    ])
+    def test_accepts_ascending_rows(self, offsets, cols):
+        g = CsrGraph(3, np.array(offsets), np.array(cols, dtype=np.int64))
+        assert g.nnz == len(cols)
+
+    @pytest.mark.parametrize("offsets, cols", [
+        ([0, 0, 2, 3], [2, 1, 0]),  # first row empty, the drop inside the next
+        ([0, 0, 1, 3], [0, 2, 1]),  # the drop is the last entry
+        ([0, 1, 1, 3], [0, 2, 1]),  # after an empty middle row
+        ([0, 0, 2, 2], [2, 1]),  # between empty first and last rows
+        ([0, 0, 2, 2], [1, 1]),  # a repeated column
+    ])
+    def test_rejects_a_drop_inside_a_row_after_an_empty_one(self, offsets, cols):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CsrGraph(3, np.array(offsets), np.array(cols))
 
 
 class TestNormalizedSpmm:
@@ -106,15 +148,17 @@ class TestNormalizedSpmm:
         for _ in range(5):
             n = int(rng.integers(2, 12))
             dense, edges = random_undirected(rng, n, 0.4)
-            g = build_csr(edges, n, symmetrize=True)
+            plain = build_csr(edges, n, symmetrize=True)
             m = rng.standard_normal((n, 4))
-            expected = dense_sym_norm_self_loops(dense) @ m
-            got = normalized_spmm(g, m, "sym_norm_self_loops")
-            assert np.abs(got - expected).max() < 1e-12
-            op = g._sym_norm_op
-            again = normalized_spmm(g, m, "sym_norm_self_loops")
-            assert g._sym_norm_op is op
-            assert np.abs(again - expected).max() < 1e-12
+            # a stored self loop adds up with the operator's own I
+            for g in (plain, add_self_loops(plain)):
+                expected = dense_sym_norm_self_loops(to_dense(g)) @ m
+                got = normalized_spmm(g, m, "sym_norm_self_loops")
+                assert np.abs(got - expected).max() < 1e-12
+                op = g._sym_norm_op
+                again = normalized_spmm(g, m, "sym_norm_self_loops")
+                assert g._sym_norm_op is op
+                assert np.abs(again - expected).max() < 1e-12
 
     def test_identity_input_exposes_inverse_degrees(self, rng):
         dense, edges = random_undirected(rng, 8, 0.4)

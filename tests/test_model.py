@@ -439,7 +439,7 @@ def test_init_model_bounds_and_bias():
     assert np.abs(params.weights[0]).max() <= bound
     assert not params.biases[0].any()
     assert params.depth == 2
-    assert params.num_classes == 5
+    assert params.weights[-1].shape[1] == 5
 
 
 def test_model_params_validation():
