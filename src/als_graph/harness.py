@@ -374,36 +374,26 @@ def _is_whole_graph(batch: Batch, dataset: Dataset) -> bool:
 
 
 def _evaluate_epoch(cfg: ExperimentConfig, dataset: Dataset, feats: np.ndarray,
-                    params: ModelParams, refinement, yk, batches, alpha: float):
-    """Epoch metrics plus the whole-graph eval forward's (logits, cache)."""
-    full_logits, full_cache = forward(params, full_batch(dataset), feats, train_mode=False)
-    totals: list[float] = []
-    correct = 0
-    seen = 0
-    for batch in batches:
-        if batch.train_local.size == 0:
-            continue
-        if _is_whole_graph(batch, dataset):
-            logits = full_logits
-        else:
-            logits, _ = forward(params, batch, feats[batch.global_ids], train_mode=False)
-        breakdown, _, _ = _batch_loss(cfg, dataset, batch, logits, yk, refinement, alpha)
-        totals.append(breakdown.total)
-        gids = batch.global_ids[batch.train_local]
-        correct += int((logits[batch.loss_rows].argmax(axis=1) == dataset.labels[gids]).sum())
-        seen += gids.size
+                    params: ModelParams, refinement, yk, alpha: float):
+    """Epoch metrics plus the whole-graph eval forward's (logits, cache).
+
+    Every metric comes from that one forward: train loss and accuracy are
+    those of one whole-graph batch, whatever batches the epoch trained on.
+    """
+    batch = full_batch(dataset)
+    full_logits, full_cache = forward(params, batch, feats, train_mode=False)
+    train_loss, _, _ = _batch_loss(cfg, dataset, batch, full_logits, yk, refinement, alpha)
+    hits = full_logits.argmax(axis=1) == dataset.labels
     probs = softmax_rows(full_logits)
     test_ids = np.flatnonzero(dataset.test_mask)
     test_hard = one_hot(dataset.labels[test_ids], dataset.num_classes)
     test_loss, _, _ = loss_and_grads(full_logits[test_ids], test_hard, mode="plain")
-    test_acc = float((full_logits[test_ids].argmax(axis=1) == dataset.labels[test_ids]).mean())
-    train_ids = np.flatnonzero(dataset.train_mask)
     return {
-        "train_loss": float(np.mean(totals)) if totals else 0.0,
-        "train_acc": correct / seen if seen else 0.0,
+        "train_loss": float(train_loss.total),
+        "train_acc": float(hits[batch.train_local].mean()),
         "test_loss": float(test_loss.total),
-        "test_acc": test_acc,
-        "mean_max_prob": confidence_stats(probs[train_ids])["mean_max_prob"],
+        "test_acc": float(hits[test_ids].mean()),
+        "mean_max_prob": confidence_stats(probs[batch.train_local])["mean_max_prob"],
     }, (full_logits, full_cache)
 
 
@@ -527,7 +517,7 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
                     raise RuntimeError(f"training diverged at epoch {epoch}: {exc}") from None
             logits = cache = dlogits = dtrain = None  # freed before the eval forward
             metrics, reusable = _evaluate_epoch(cfg, dataset, feats, params, refinement, yk,
-                                                batches, alpha)
+                                                alpha)
             if params.dropout != 0:
                 reusable = None
             records.append(EpochRecord(epoch=epoch, alpha_t=alpha, **metrics))

@@ -96,20 +96,30 @@ class ForwardCache:
     logits: np.ndarray | None = None
 
 
-def _layer(params: ModelParams, batch: Batch, layer: int):
-    """(aggregation operator, batch rows the layer outputs) for one layer.
+def _operator(params: ModelParams, batch: Batch, layer: int):
+    """One layer's aggregation operator.
 
-    The operator is None for ``mlp``, the batch graph for an unlayered batch
-    (rows None: every row) and the layer's rectangular block for a layered
-    one. An ``mlp`` on a layered batch computes only the loss rows.
+    None for ``mlp``, the batch graph for an unlayered batch and the layer's
+    rectangular block for a layered one.
     """
-    if batch.layer_graphs is None:
-        return (None if params.arch == "mlp" else batch.subgraph), None
-    if len(batch.layer_graphs) != params.depth:
+    if batch.layer_graphs is not None and len(batch.layer_graphs) != params.depth:
         raise ValueError("batch carries layered adjacencies for a different depth")
     if params.arch == "mlp":
-        return None, batch.train_local
-    return batch.layer_blocks[layer], batch.layer_rows[layer]
+        return None
+    return batch.subgraph if batch.layer_graphs is None else batch.layer_blocks[layer]
+
+
+def _dropout_keep(gen: np.random.Generator, shape: tuple, p: float) -> np.ndarray:
+    """Bool keep mask: each entry kept iff a fresh 32-bit word is at least p * 2^32.
+
+    The words are the two halves of each raw 64-bit draw, and the threshold
+    is rounded and capped at 2^32 - 1, so the drop rate is within 2^-33 of
+    ``p`` for p below 1 - 2^-33. The word array is freed on return.
+    """
+    size = int(np.prod(shape))
+    threshold = min(round(p * 2**32), 2**32 - 1)
+    words = gen.bit_generator.random_raw(-(-size // 2)).view(np.uint32)
+    return words[:size].reshape(shape) >= threshold
 
 
 def _aggregate(op, m: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -138,9 +148,9 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
     batch the ``train_local`` rows only (``batch.loss_rows`` indexes them).
     Each layer of a layered batch computes only the rows the next layer
     reads. Dropout applies to hidden activations only and only in train
-    mode, with inverted scaling; masks are drawn for every batch row and
-    then row-selected, so the random stream does not depend on the
-    restriction. With dropout 0 train and eval mode are the same computation.
+    mode, with inverted scaling; each layer's keep mask is drawn
+    (``_dropout_keep``) for the rows that layer computes only. With dropout
+    0 train and eval mode are the same computation.
 
     A GCN layer that narrows computes ``A(HW) + b`` and caches its input
     ``H``; every other layer computes ``(AH)W + b`` and caches ``AH``. Each
@@ -159,7 +169,7 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
     if params.arch == "mlp" and batch.layer_graphs is not None:
         h = h[batch.train_local]  # mlp rows are independent: keep only the loss rows
     for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        op, rows = _layer(params, batch, layer)
+        op = _operator(params, batch, layer)
         if _projects_first(op, w):
             x = h
             z = _aggregate(op, h @ w)
@@ -175,9 +185,7 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
         h = np.maximum(z, 0.0, out=z)
         keep = None
         if gen is not None:
-            keep = gen.random((batch.num_nodes, h.shape[1])) >= p
-            if rows is not None:
-                keep = keep[rows]
+            keep = _dropout_keep(gen, h.shape, p)
             h *= 1.0 / (1.0 - p)
             h *= keep
         cache.dropout_masks.append(keep)

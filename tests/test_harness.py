@@ -40,6 +40,7 @@ from als_graph.harness import (
 from als_graph.model import adam_step, backward, forward, init_model, init_opt_state
 from als_graph.propagation import PropagationConfig, init_label_matrix, propagate
 from als_graph.reporting import load_report, report_to_dict, write_report
+from als_graph.sampling import full_batch
 from als_graph.smoothing import RefinementMatrix, alpha_at, init_refinement
 
 from conftest import refine_soft_label
@@ -180,11 +181,14 @@ class TestRunExperiment:
         assert [r.alpha_t for r in report.per_epoch] == [0.0, 0.02, 0.04, 0.05]
 
     def test_byte_identical_reports_same_seed(self, tmp_path):
-        cfg = small_cfg(seed=3)
-        for i, report in enumerate([run_experiment(cfg), run_experiment(cfg)]):
-            write_report(report, tmp_path / f"r{i}.json")
-        assert (tmp_path / "r0.json").read_bytes() == (tmp_path / "r1.json").read_bytes()
-        assert (tmp_path / "r0.csv").read_bytes() == (tmp_path / "r1.csv").read_bytes()
+        neighbor = dict(sampler_kind="neighbor", fanouts=(3, 3), depth=2, seeds_per_batch=8)
+        for name, cfg in (("cluster", small_cfg(seed=3)),
+                          ("neighbor", small_cfg(seed=3, dropout=0.5, **neighbor))):
+            for i, report in enumerate([run_experiment(cfg), run_experiment(cfg)]):
+                write_report(report, tmp_path / f"{name}{i}.json")
+            for suffix in (".json", ".csv"):
+                first, second = (tmp_path / f"{name}{i}{suffix}" for i in (0, 1))
+                assert first.read_bytes() == second.read_bytes()
 
     def test_reported_train_loss_matches_frozen_reevaluation(self):
         cfg = small_cfg(epochs=3, seed=2)
@@ -192,19 +196,15 @@ class TestRunExperiment:
         from als_graph.harness import _batch_loss
         from als_graph.model import forward
 
-        last = cfg.epochs - 1
-        alpha = result.report.per_epoch[-1].alpha_t
-        batches = epoch_batches(cfg, result.dataset, result.partition, last)
-        totals = []
-        for batch in batches:
-            if batch.train_local.size == 0:
-                continue
-            logits, _ = forward(result.params, batch, result.features[batch.global_ids],
-                                train_mode=False)
-            breakdown, _, _ = _batch_loss(cfg, result.dataset, batch, logits,
-                                          result.soft_labels, result.refinement, alpha)
-            totals.append(breakdown.total)
-        assert result.report.per_epoch[-1].train_loss == float(np.mean(totals))
+        last = result.report.per_epoch[-1]
+        batch = full_batch(result.dataset)
+        logits, _ = forward(result.params, batch, result.features, train_mode=False)
+        breakdown, _, _ = _batch_loss(cfg, result.dataset, batch, logits, result.soft_labels,
+                                      result.refinement, last.alpha_t)
+        assert last.train_loss == breakdown.total
+        train_ids = np.flatnonzero(result.dataset.train_mask)
+        hits = logits[train_ids].argmax(axis=1) == result.dataset.labels[train_ids]
+        assert last.train_acc == int(hits.sum()) / train_ids.size
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_epoch(self):
@@ -342,7 +342,8 @@ class TestEvaluationForwards:
                          for epoch in range(cfg.epochs)]
             assert min(per_epoch) > 1
             assert len(calls[True]) == sum(per_epoch)
-            assert len(calls[False]) == sum(per_epoch) + cfg.epochs
+            # train and test metrics come from one whole-graph eval forward
+            assert calls[False] == [result.dataset.num_nodes] * cfg.epochs
 
 
 # Two file-loaded runs in one fresh process; prints the second run's minor faults.
@@ -410,7 +411,7 @@ def serial_training(cfg: ExperimentConfig):
             wgrads, bgrads = backward(params, cache, dlogits)
             adam_step(values, wgrads + bgrads + [dw], state)
         metrics, _ = harness._evaluate_epoch(cfg, dataset, feats, params, refinement, yk,
-                                             batches, alpha)
+                                             alpha)
         records.append(metrics)
     return records, values
 

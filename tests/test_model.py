@@ -36,6 +36,16 @@ def make_batch(n, edges=()):
     return Batch(g, np.arange(n), np.arange(n))
 
 
+def keep_rule(gen: np.random.Generator, shape, p: float) -> np.ndarray:
+    """The documented dropout draw, written out word by word: the low then the
+    high 32 bits of each raw 64-bit draw, kept iff at least
+    min(round(p * 2^32), 2^32 - 1)."""
+    size = int(np.prod(shape))
+    raw = gen.bit_generator.random_raw((size + 1) // 2)
+    words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()[:size]
+    return words.reshape(shape) >= min(round(p * 2**32), 2**32 - 1)
+
+
 class TestForward:
     def test_single_layer_identity_mlp(self, rng):
         feats = rng.standard_normal((4, 5))
@@ -72,6 +82,23 @@ class TestForward:
         c, _ = forward(params, batch, feats, train_mode=True, seed=43)
         assert a.tobytes() == b.tobytes()
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_dropout_keep_rate_is_one_minus_p(self, p):
+        n = 2**17
+        keep = model._dropout_keep(stream(7), (n // 64, 64), p)
+        assert keep.dtype == np.dtype(bool) and keep.shape == (n // 64, 64)
+        sigma = np.sqrt(p * (1 - p) / n)
+        assert abs(keep.mean() - (1 - p)) < 5 * sigma
+        # bit for bit the documented rule, including an odd entry count
+        assert np.array_equal(model._dropout_keep(stream(8), (7, 5), p),
+                              keep_rule(stream(8), (7, 5), p))
+
+    def test_dropout_threshold_near_one_does_not_overflow(self):
+        # round(p * 2^32) is 2^32 here; a threshold wrapped to 0 would keep every entry
+        p = 1 - 2**-40
+        assert round(p * 2**32) == 2**32
+        assert not model._dropout_keep(stream(7), (2**11, 64), p).any()
 
     def test_train_mode_without_dropout_equals_eval_mode(self, rng):
         dense, edges = random_undirected(rng, 7, 0.4)
@@ -268,13 +295,16 @@ class TestBackward:
         assert [op.shape for op in cache.operators] == [(sizes[0], n), (sizes[1], sizes[0]),
                                                          (sizes[2], sizes[1])]
         assert [m.shape[0] for m in cache.dropout_masks[:2]] == sizes[:2]
-        # dense oracle at full batch height, dropout masks drawn from the same stream
+        # dense oracle at full batch height; each layer's masks are drawn at the
+        # height of its output rows and scattered to them (other rows are unread)
         gen = stream(1)
         h = feats
         for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
             z = dense_sym_norm_self_loops(to_dense(batch.layer_graphs[layer])) @ h @ w + b
             if layer < 2:
-                h = np.maximum(z, 0.0) * ((gen.random(z.shape) >= 0.5) / 0.5)
+                keep = np.zeros(z.shape, dtype=bool)
+                keep[expected[layer]] = keep_rule(gen, (sizes[layer], z.shape[1]), 0.5)
+                h = np.maximum(z, 0.0) * (keep / 0.5)
         assert np.abs(logits - z[batch.train_local]).max() < 1e-12
         # the backward pass keeps the same rows
         wgrads, _ = backward(params, cache, rng.standard_normal(logits.shape))
@@ -283,9 +313,13 @@ class TestBackward:
         mlp = init_model("mlp", [5, 8, 8, 3], dropout=0.5, seed=0)
         logits, cache = forward(mlp, batch, feats, train_mode=True, seed=1)
         assert [z.shape[0] for z in cache.gates + [cache.logits]] == [batch.train_local.size] * 3
-        full, _ = forward(mlp, Batch(batch.layer_graphs[0], batch.global_ids, batch.train_local),
-                          feats, train_mode=True, seed=1)
-        assert np.abs(logits - full[batch.train_local]).max() < 1e-12
+        gen = stream(1)
+        h = feats[batch.train_local]
+        for layer, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+            z = h @ w + b
+            if layer < 2:
+                h = np.maximum(z, 0.0) * (keep_rule(gen, z.shape, 0.5) / 0.5)
+        assert np.abs(logits - z).max() < 1e-12
 
     def test_stale_cache_rejected(self, rng):
         batch = make_batch(3, [(0, 1)])
