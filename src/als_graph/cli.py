@@ -39,8 +39,8 @@ def cmd_propagate(args) -> int:
         raise ValueError(f"--num-nodes must be non-negative (0 infers it), got {args.num_nodes}")
     cfg = (harness.build_config(harness.load_config_file(args.config)) if args.config
            else harness.ExperimentConfig())
-    beta = cfg.beta if args.beta is None else args.beta
-    k = cfg.k_steps if args.k is None else args.k
+    prop = PropagationConfig(cfg.beta if args.beta is None else args.beta,
+                             cfg.k_steps if args.k is None else args.k, args.self_loops or cfg.self_loops)
     edges, inferred = read_edge_list(args.graph, args.num_nodes or None)
     nodes, classes = read_labels(args.labels, args.num_nodes or None)
     num_nodes = args.num_nodes or max(inferred, int(nodes.max()) + 1)
@@ -48,7 +48,7 @@ def cmd_propagate(args) -> int:
     graph = build_csr(edges, num_nodes, symmetrize=True)
     y0 = np.zeros((num_nodes, num_classes))
     y0[nodes] = one_hot(classes, num_classes)
-    write_matrix_binary(propagate(graph, y0, PropagationConfig(beta, k, args.self_loops)), args.out)
+    write_matrix_binary(propagate(graph, y0, prop), args.out)
     print(f"wrote propagated labels ({num_nodes} x {num_classes}) to {args.out}")
     return 0
 
@@ -138,9 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"residual strength (default {harness.ExperimentConfig.beta})")
     p.add_argument("--k", type=int, default=None,
                    help=f"propagation steps (default {harness.ExperimentConfig.k_steps})")
-    p.add_argument("--config", help="optional config supplying beta/k defaults")
+    p.add_argument("--config", help="optional config supplying beta/k defaults and self-loops")
     p.add_argument("--num-nodes", type=int, default=0)
-    p.add_argument("--self-loops", action="store_true")
+    p.add_argument("--self-loops", action="store_true", help="also average each node's own row")
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("train", help="train one configuration")

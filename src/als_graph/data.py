@@ -2,13 +2,15 @@
 
 File formats
 ------------
-* edge list: one ``src<TAB>dst`` per line, 0-based ids, ``#`` comments
+* edge list: one ``src<TAB>dst`` per line, 0-based ids
 * labels:    ``node_id,label`` lines
 * splits:    ``node_id,{train|val|test}`` lines; absent nodes are unused
 * features:  CSV rows for small matrices, or the raw binary format below for
   matrices above one million entries
 * binary matrices: 16-byte header ``<4sIII`` = (magic ``ALSM``, element size
   in bytes, rows, cols) followed by little-endian row-major values
+
+The text formats skip ``#`` comments and blank lines; errors name ``file:line``.
 """
 from __future__ import annotations
 
@@ -181,11 +183,25 @@ def generate_sbm(params: SbmParams) -> Dataset:
 # text parsing
 
 
-def _parse_int(token: str, path, lineno: int, what: str) -> int:
+def scan_lines(lines):
+    """1-based ``(lineno, text, stripped line)`` per line not blank once its ``#`` comment is cut."""
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text, raw.strip()
+
+
+def _parse_id(token: str, path, lineno: int, what: str = "node id", num_nodes: int | None = None) -> int:
+    """A non-negative integer id, below ``num_nodes`` when it is given."""
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: malformed {what} {token!r}") from None
+    if value < 0:
+        raise ValueError(f"{path}:{lineno}: negative {what}")
+    if num_nodes is not None and value >= num_nodes:
+        raise ValueError(f"{path}:{lineno}: {what} {value} out of range for {num_nodes} nodes")
+    return value
 
 
 def read_edge_list(path, num_nodes: int | None = None) -> tuple[np.ndarray, int]:
@@ -194,40 +210,28 @@ def read_edge_list(path, num_nodes: int | None = None) -> tuple[np.ndarray, int]
     Every node id must lie below ``num_nodes`` when it is given.
     """
     pairs: list[tuple[int, int]] = []
-    max_id = -1
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
+        for lineno, text, raw in scan_lines(fh):
+            fields = text.split()
             if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'src<TAB>dst', got {raw.strip()!r}")
-            u = _parse_int(fields[0], path, lineno, "node id")
-            v = _parse_int(fields[1], path, lineno, "node id")
-            if u < 0 or v < 0:
-                raise ValueError(f"{path}:{lineno}: negative node id")
-            if num_nodes is not None and max(u, v) >= num_nodes:
-                raise ValueError(f"{path}:{lineno}: node id {max(u, v)} out of range "
-                                 f"for {num_nodes} nodes")
-            pairs.append((u, v))
-            max_id = max(max_id, u, v)
+                raise ValueError(f"{path}:{lineno}: expected 'src<TAB>dst', got {raw!r}")
+            pairs.append(tuple(_parse_id(tok, path, lineno, num_nodes=num_nodes) for tok in fields))
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return arr, max_id + 1
+    return arr, int(arr.max(initial=-1)) + 1
 
 
-def _read_id_value_lines(path, what: str):
+def _read_id_value_lines(path, what: str, num_nodes: int | None):
+    """``(lineno, node, value)`` per ``node_id,value`` line; a node may be listed only once."""
+    seen: set[int] = set()
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split(",")
+        for lineno, text, raw in scan_lines(fh):
+            fields = text.split(",")
             if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'node_id,{what}', got {raw.strip()!r}")
-            node = _parse_int(fields[0], path, lineno, "node id")
-            if node < 0:
-                raise ValueError(f"{path}:{lineno}: negative node id")
+                raise ValueError(f"{path}:{lineno}: expected 'node_id,{what}', got {raw!r}")
+            node = _parse_id(fields[0], path, lineno, num_nodes=num_nodes)
+            if node in seen:
+                raise ValueError(f"{path}:{lineno}: node {node} listed more than once")
+            seen.add(node)
             yield lineno, node, fields[1].strip()
 
 
@@ -238,15 +242,8 @@ def read_labels(path, num_nodes: int | None = None) -> tuple[np.ndarray, np.ndar
     listed only once.
     """
     nodes: dict[int, int] = {}
-    for lineno, node, value in _read_id_value_lines(path, "label"):
-        if num_nodes is not None and node >= num_nodes:
-            raise ValueError(f"{path}:{lineno}: node id {node} out of range for {num_nodes} nodes")
-        if node in nodes:
-            raise ValueError(f"{path}:{lineno}: node {node} listed more than once")
-        label = _parse_int(value, path, lineno, "label")
-        if label < 0:
-            raise ValueError(f"{path}:{lineno}: negative class id")
-        nodes[node] = label
+    for lineno, node, value in _read_id_value_lines(path, "label", num_nodes):
+        nodes[node] = _parse_id(value, path, lineno, "class id")
     if not nodes:
         raise ValueError(f"{path}: no labels found")
     return np.fromiter(nodes, dtype=np.int64), np.fromiter(nodes.values(), dtype=np.int64)
@@ -271,15 +268,9 @@ def load_dataset(edge_path, feature_path, label_path, split_path) -> Dataset:
     num_classes = int(classes.max()) + 1
 
     masks = {"train": np.zeros(n, dtype=bool), "val": np.zeros(n, dtype=bool), "test": np.zeros(n, dtype=bool)}
-    assigned = np.zeros(n, dtype=bool)
-    for lineno, node, role in _read_id_value_lines(split_path, "split"):
-        if node >= n:
-            raise ValueError(f"{split_path}:{lineno}: node id {node} out of range for {n} nodes")
+    for lineno, node, role in _read_id_value_lines(split_path, "split", n):
         if role not in masks:
             raise ValueError(f"{split_path}:{lineno}: unknown split {role!r}")
-        if assigned[node]:
-            raise ValueError(f"{split_path}:{lineno}: node {node} assigned to multiple splits")
-        assigned[node] = True
         masks[role][node] = True
 
     return Dataset(graph, features, labels, num_classes,
@@ -364,11 +355,8 @@ def _csv_error(path) -> str | None:
     row's width; None when every line parses."""
     width = None
     with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split(",")
+        for lineno, text, _ in scan_lines(fh):
+            fields = text.split(",")
             if width is not None and len(fields) != width:
                 return f"{path}:{lineno}: the number of columns changed from {width} to {len(fields)}"
             width = len(fields)

@@ -30,6 +30,7 @@ from .data import (
     load_dataset,
     one_hot,
     read_matrix_binary,
+    scan_lines,
     write_matrix_binary,
     write_matrix_csv,
 )
@@ -78,71 +79,72 @@ __all__ = [
 ]
 
 
-def _key(name: str, default):
-    """A config field whose ``section.key`` name lives in its metadata."""
-    return dataclasses.field(default=default, metadata={"key": name})
+def _key(name: str, default, choices=None, least=None, most=None):
+    """A config field whose ``section.key`` name and allowed values (choices, or
+    inclusive bounds on the value or on each entry of a tuple) live in its metadata."""
+    return dataclasses.field(default=default, metadata=dict(key=name, choices=choices, least=least, most=most))
 
 
 @dataclass
 class ExperimentConfig:
-    data_source: str = _key("data.source", "sbm")  # sbm | files
+    data_source: str = _key("data.source", "sbm", choices=("sbm", "files"))
     data_edges: str = _key("data.edges", "")
     data_features: str = _key("data.features", "")
     data_labels: str = _key("data.labels", "")
     data_splits: str = _key("data.splits", "")
-    sbm_blocks: int = _key("sbm.blocks", 8)
-    sbm_nodes_per_block: int = _key("sbm.nodes_per_block", 250)
-    sbm_p_in: float = _key("sbm.p_in", 0.05)
-    sbm_p_out: float = _key("sbm.p_out", 0.002)
-    sbm_feature_dim: int = _key("sbm.feature_dim", 16)
-    sbm_feature_noise: float = _key("sbm.feature_noise", 2.0)
-    sbm_train_fraction: float = _key("sbm.train_fraction", 0.1)
-    sbm_val_fraction: float = _key("sbm.val_fraction", 0.2)
-    sbm_seed: int = _key("sbm.seed", 0)
-    sampler_kind: str = _key("sampler.kind", "cluster")  # cluster | random_walk | neighbor | full
-    num_parts: int = _key("sampler.num_parts", 8)
-    parts_per_batch: int = _key("sampler.parts_per_batch", 2)
-    num_roots: int = _key("sampler.num_roots", 50)
-    walk_length: int = _key("sampler.walk_length", 2)
-    batches_per_epoch: int = _key("sampler.batches_per_epoch", 0)  # 0 = one pass over the train set
-    fanouts: tuple = _key("sampler.fanouts", (10, 10, 10))
-    seeds_per_batch: int = _key("sampler.seeds_per_batch", 64)
-    arch: str = _key("model.arch", "gcn")  # gcn | mlp
-    depth: int = _key("model.depth", 3)
-    hidden: int = _key("model.hidden", 64)
+    sbm_blocks: int = _key("sbm.blocks", 8, least=1)
+    sbm_nodes_per_block: int = _key("sbm.nodes_per_block", 250, least=1)
+    sbm_p_in: float = _key("sbm.p_in", 0.05, least=0, most=1)
+    sbm_p_out: float = _key("sbm.p_out", 0.002, least=0, most=1)
+    sbm_feature_dim: int = _key("sbm.feature_dim", 16, least=1)
+    sbm_feature_noise: float = _key("sbm.feature_noise", 2.0, least=0)
+    sbm_train_fraction: float = _key("sbm.train_fraction", 0.1, least=0, most=1)
+    sbm_val_fraction: float = _key("sbm.val_fraction", 0.2, least=0, most=1)
+    sbm_seed: int = _key("sbm.seed", 0, least=0)
+    sampler_kind: str = _key("sampler.kind", "cluster", choices=("cluster", "random_walk", "neighbor", "full"))
+    num_parts: int = _key("sampler.num_parts", 8, least=1)
+    parts_per_batch: int = _key("sampler.parts_per_batch", 2, least=1)
+    num_roots: int = _key("sampler.num_roots", 50, least=1)
+    walk_length: int = _key("sampler.walk_length", 2, least=0)
+    batches_per_epoch: int = _key("sampler.batches_per_epoch", 0, least=0)  # 0 = one pass over the train set
+    fanouts: tuple = _key("sampler.fanouts", (10, 10, 10), least=0)
+    seeds_per_batch: int = _key("sampler.seeds_per_batch", 64, least=1)
+    arch: str = _key("model.arch", "gcn", choices=("gcn", "mlp"))
+    depth: int = _key("model.depth", 3, least=1)
+    hidden: int = _key("model.hidden", 64, least=1)
     dropout: float = _key("model.dropout", 0.5)
-    sign_hops: int = _key("model.sign_hops", 0)
-    loss_mode: str = _key("loss.mode", "als")  # plain | ls | als
-    gamma: float = _key("loss.gamma", 1e-3)
+    sign_hops: int = _key("model.sign_hops", 0, least=0)
+    loss_mode: str = _key("loss.mode", "als", choices=("plain", "ls", "als"))
+    gamma: float = _key("loss.gamma", 1e-3, least=0)
     stop_gradient: bool = _key("loss.stop_gradient", False)
-    pacing_kind: str = _key("pacing.kind", "linear")  # constant | linear | exponential
-    alpha_const: float = _key("pacing.alpha_const", 0.1)
+    pacing_kind: str = _key("pacing.kind", "linear", choices=("constant", "linear", "exponential"))
+    alpha_const: float = _key("pacing.alpha_const", 0.1, least=0, most=1)
     pacing_r: float = _key("pacing.r", 1e-2)
-    pacing_b: float = _key("pacing.b", 0.1)
-    alpha_max: float = _key("pacing.alpha_max", 0.1)
-    beta: float = _key("propagation.beta", 0.1)
-    k_steps: int = _key("propagation.k", 2)
+    pacing_b: float = _key("pacing.b", 0.1, least=0)
+    alpha_max: float = _key("pacing.alpha_max", 0.1, least=0, most=1)
+    beta: float = _key("propagation.beta", 0.1, least=0, most=1)
+    k_steps: int = _key("propagation.k", 2, least=0)
     self_loops: bool = _key("propagation.self_loops", False)
-    epochs: int = _key("train.epochs", 100)
+    epochs: int = _key("train.epochs", 100, least=1)
     lr: float = _key("train.lr", 0.01)
-    seed: int = _key("train.seed", 0)
-    repeats: int = _key("train.repeats", 1)
+    seed: int = _key("train.seed", 0, least=0)
+    repeats: int = _key("train.repeats", 1, least=1)
     no_propagation: bool = _key("ablate.no_propagation", False)
     no_refinement: bool = _key("ablate.no_refinement", False)
     no_pacing: bool = _key("ablate.no_pacing", False)
     label_input: bool = _key("label_input", False)
 
     def validate(self) -> "ExperimentConfig":
-        checks = {
-            "data.source": (self.data_source, ("sbm", "files")),
-            "sampler.kind": (self.sampler_kind, ("cluster", "random_walk", "neighbor", "full")),
-            "model.arch": (self.arch, ("gcn", "mlp")),
-            "loss.mode": (self.loss_mode, ("plain", "ls", "als")),
-            "pacing.kind": (self.pacing_kind, ("constant", "linear", "exponential")),
-        }
-        for key, (value, allowed) in checks.items():
-            if value not in allowed:
-                raise ValueError(f"{key} must be one of {allowed}, got {value!r}")
+        for f in dataclasses.fields(self):
+            key, choices, least, most = (f.metadata[k] for k in ("key", "choices", "least", "most"))
+            value = getattr(self, f.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if choices and value not in choices:
+                raise ValueError(f"{key} must be one of {choices}, got {value!r}")
+            if least is not None and any(v < least for v in entries):
+                raise ValueError(f"{key} must be at least {least}, got {value}")
+            if most is not None and any(v > most for v in entries):
+                raise ValueError(f"{key} must be at most {most}, got {value}")
         if self.data_source == "files":
             for key in ("data_edges", "data_features", "data_labels", "data_splits"):
                 if not getattr(self, key):
@@ -154,36 +156,17 @@ class ExperimentConfig:
         if self.label_input and self.loss_mode == "als":
             raise ValueError("label_input is a separate baseline, incompatible with als refinement")
         if self.sampler_kind == "neighbor" and len(self.fanouts) != self.depth:
-            raise ValueError("fanouts must list one count per model layer")
-        if any(f < 0 for f in self.fanouts):
-            raise ValueError(f"sampler.fanouts must be non-negative, got {self.fanouts}")
-        for key, value, least in (("sampler.seeds_per_batch", self.seeds_per_batch, 1),
-                                  ("sampler.num_roots", self.num_roots, 1),
-                                  ("sampler.walk_length", self.walk_length, 0),
-                                  ("sampler.num_parts", self.num_parts, 1),
-                                  ("sampler.parts_per_batch", self.parts_per_batch, 1),
-                                  ("sampler.batches_per_epoch", self.batches_per_epoch, 0),
-                                  ("model.sign_hops", self.sign_hops, 0),
-                                  ("loss.gamma", self.gamma, 0),
-                                  ("train.seed", self.seed, 0),
-                                  ("sbm.seed", self.sbm_seed, 0)):
-            if value < least:
-                raise ValueError(f"{key} must be at least {least}, got {value}")
+            raise ValueError(f"sampler.fanouts must list model.depth = {self.depth} counts, got {self.fanouts}")
         if self.parts_per_batch > self.num_parts:
             raise ValueError(f"sampler.parts_per_batch must be at most sampler.num_parts "
                              f"({self.num_parts}), got {self.parts_per_batch}")
+        if self.sbm_train_fraction + self.sbm_val_fraction > 1.0 + 1e-12:
+            raise ValueError("sbm.train_fraction + sbm.val_fraction must be at most 1, got "
+                             f"{self.sbm_train_fraction} + {self.sbm_val_fraction}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"model.dropout must lie in [0, 1), got {self.dropout}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
         if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.depth < 1 or self.hidden < 1:
-            raise ValueError("model dimensions must be positive")
-        if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
-        self.pacing_schedule()  # surfaces schedule parameter errors early
-        PropagationConfig(self.beta, self.k_steps, self.self_loops)
+            raise ValueError(f"train.lr must be positive, got {self.lr}")
         return self
 
     def pacing_schedule(self) -> PacingSchedule:
@@ -219,21 +202,18 @@ _FIELDS: dict[str, tuple[str, object]] = {
 }
 
 _SWEEP_KEYS = {
-    "sweep.r": "pacing_r",
-    "sweep.gamma": "gamma",
-    "sweep.beta": "beta",
-    "sweep.k": "k_steps",
+    "sweep.r": "pacing.r",
+    "sweep.gamma": "loss.gamma",
+    "sweep.beta": "propagation.beta",
+    "sweep.k": "propagation.k",
 }
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line, raw in scan_lines(text.splitlines()):
         if "=" not in line:
-            raise ValueError(f"{origin}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ValueError(f"{origin}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in mapping:
             raise ValueError(f"{origin}:{lineno}: key {key!r} set more than once")
@@ -285,14 +265,14 @@ def config_to_flat(cfg: ExperimentConfig) -> dict[str, object]:
 def parse_sweep_grid(mapping: dict[str, str]) -> dict[str, list]:
     """Pull sweep.* keys out of a raw config mapping into attr -> values."""
     grid: dict[str, list] = {}
-    for key, attr in _SWEEP_KEYS.items():
+    for key, swept in _SWEEP_KEYS.items():
         if key in mapping:
             tokens = [tok.strip() for tok in str(mapping[key]).split(",") if tok.strip()]
             if not tokens:
                 raise ValueError(f"config key {key}: no values")
-            cast = int if attr == "k_steps" else float
+            attr, parser = _FIELDS[swept]
             try:
-                grid[attr] = [cast(tok) for tok in tokens]
+                grid[attr] = [parser(tok) for tok in tokens]
             except ValueError as exc:
                 raise ValueError(f"config key {key}: {exc}") from None
     return grid

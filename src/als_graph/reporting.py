@@ -9,7 +9,7 @@ files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,6 @@ import numpy as np
 from .metrics import BiasStats
 
 __all__ = ["EpochRecord", "ExperimentReport", "write_report", "load_report"]
-
-CSV_COLUMNS = ("epoch", "alpha_t", "train_loss", "test_loss", "train_acc", "test_acc", "mean_max_prob")
 
 
 @dataclass
@@ -30,6 +28,9 @@ class EpochRecord:
     train_acc: float
     test_acc: float
     mean_max_prob: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(EpochRecord))
 
 
 @dataclass

@@ -8,6 +8,8 @@ import pytest
 from als_graph import harness
 from als_graph.cli import main
 from als_graph.data import read_matrix_binary, write_matrix_binary
+from als_graph.graph import build_csr
+from als_graph.propagation import PropagationConfig, propagate
 
 SMALL_CONFIG = """
 sbm.blocks = 3
@@ -83,6 +85,23 @@ def test_propagate_round_trip(tmp_path):
     # one labeled node (class 1 of 2), one step at beta=0.5 over a path graph
     assert yk.shape == (3, 2)
     assert np.allclose(yk, [[0.0, 0.5], [0.0, 0.25], [0.0, 0.0]])
+
+
+def test_propagate_takes_self_loops_from_the_config(tmp_path):
+    (tmp_path / "g.tsv").write_text("0\t1\n1\t2\n2\t3\n")
+    (tmp_path / "y.csv").write_text("0,1\n3,0\n")
+    (tmp_path / "p.cfg").write_text("propagation.beta = 0.3\npropagation.k = 3\n"
+                                    "propagation.self_loops = true\n")
+    out = tmp_path / "yk.bin"
+    code = main(["propagate", "--graph", str(tmp_path / "g.tsv"), "--labels",
+                 str(tmp_path / "y.csv"), "--out", str(out), "--config", str(tmp_path / "p.cfg")])
+    assert code == 0
+    g = build_csr(np.array([[0, 1], [1, 2], [2, 3]]), 4, symmetrize=True)
+    y0 = np.zeros((4, 2))
+    y0[0, 1] = y0[3, 0] = 1.0
+    expected = propagate(g, y0, PropagationConfig(0.3, 3, True))
+    assert np.array_equal(read_matrix_binary(out), expected)
+    assert not np.array_equal(expected, propagate(g, y0, PropagationConfig(0.3, 3, False)))
 
 
 @pytest.mark.parametrize("labels, extra, message", [

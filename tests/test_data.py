@@ -212,6 +212,19 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=r"y\.csv:3: node 0 listed more than once"):
             load_dataset(tmp_path / "e.tsv", tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "s.csv")
 
+    @pytest.mark.parametrize("splits, message", [
+        ("0,train\n# c\n0,test\n", "s.csv:3: node 0 listed more than once"),
+        ("0,train\n2,test\n", "s.csv:2: node id 2 out of range for 2 nodes"),
+        ("0,train\nx,test\n", "s.csv:2: malformed node id 'x'"),
+    ])
+    def test_bad_split_line_names_the_line(self, tmp_path, splits, message):
+        (tmp_path / "e.tsv").write_text("0\t1\n")
+        (tmp_path / "x.csv").write_text("1.0\n2.0\n")
+        (tmp_path / "y.csv").write_text("0,0\n1,1\n")
+        (tmp_path / "s.csv").write_text(splits)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(tmp_path / "e.tsv", tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "s.csv")
+
     def test_negative_split_node_rejected(self, tmp_path):
         (tmp_path / "e.tsv").write_text("0\t1\n")
         (tmp_path / "x.csv").write_text("1.0\n2.0\n")

@@ -116,6 +116,24 @@ class TestConfig:
         ("loss.gamma", "-1"),
         ("train.seed", "-1"),
         ("sbm.seed", "-1"),
+        ("train.epochs", "0"),
+        ("train.repeats", "0"),
+        ("train.lr", "0"),
+        ("model.depth", "0"),
+        ("model.hidden", "0"),
+        ("sbm.blocks", "0"),
+        ("sbm.nodes_per_block", "0"),
+        ("sbm.p_in", "2"),
+        ("sbm.p_out", "-0.1"),
+        ("sbm.feature_dim", "0"),
+        ("sbm.feature_noise", "-1"),
+        ("sbm.train_fraction", "1.5"),
+        ("sbm.val_fraction", "0.95"),  # sbm.train_fraction defaults to 0.1
+        ("pacing.alpha_const", "2"),
+        ("pacing.alpha_max", "-1"),
+        ("pacing.b", "-1"),
+        ("propagation.beta", "2"),
+        ("propagation.k", "-1"),
     ])
     def test_bad_model_setting_names_the_key(self, key, value):
         with pytest.raises(ValueError, match=re.escape(key)):
@@ -136,6 +154,19 @@ class TestConfig:
         declared = {f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)}
         assert len(declared) == 46
         assert documented == declared
+        # each key's row names its declared choices and bounds
+        rows = {key: row for row in table.splitlines() if row.startswith("| `")
+                for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+        missing = []
+        for f in dataclasses.fields(ExperimentConfig):
+            key, choices, least, most = (f.metadata[k] for k in ("key", "choices", "least", "most"))
+            wanted = [f"`{choice}`" for choice in choices or ()]
+            if most is not None:
+                wanted.append(f"in [{least}, {most}]")
+            elif least is not None:
+                wanted.append(f"at least {least}")
+            missing += [(key, text) for text in wanted if text not in rows[key]]
+        assert missing == []
 
     def test_flat_round_trip(self):
         cfg = small_cfg()

@@ -387,7 +387,8 @@ class TestMemoryContract:
         The traced peak is bounded by 4 n x 128 float64 arrays. Keeping float
         pre-activations and masks, and a new array per backward step, read 8.4
         at dropout 0 and 10.4 at dropout 0.5; a cache of bool gates that the
-        backward releases reads 3.4 and 3.6.
+        backward releases, with dropout drawn at row height as 32-bit words,
+        reads 3.4 and 3.5.
         """
         d = generate_sbm(SbmParams(blocks=8, nodes_per_block=500, p_in=0.02, p_out=0.001,
                                    feature_dim=16, seed=0))
