@@ -345,14 +345,6 @@ def _batch_loss(cfg: ExperimentConfig, dataset: Dataset, batch: Batch, logits: n
                           mode="als", stop_gradient_yhat=cfg.stop_gradient)
 
 
-def _is_whole_graph(batch: Batch, dataset: Dataset) -> bool:
-    """True when the batch's rows line up with the whole-graph forward.
-
-    Only the identity node order or ``full_batch`` share the graph object.
-    """
-    return batch.subgraph is dataset.graph
-
-
 def _evaluate_epoch(cfg: ExperimentConfig, dataset: Dataset, feats: np.ndarray,
                     params: ModelParams, refinement, yk, alpha: float):
     """Epoch metrics plus the whole-graph eval forward's (logits, cache).
@@ -473,7 +465,7 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
             for j, batch in enumerate(batches):
                 if batch.train_local.size == 0:
                     continue
-                if reusable is not None and _is_whole_graph(batch, dataset):
+                if reusable is not None and batch.graph is dataset.graph:
                     logits, cache = reusable
                 else:
                     reusable = None  # freed before the forward that replaces it
@@ -668,7 +660,10 @@ def load_checkpoint(directory) -> tuple[ModelParams, RefinementMatrix | None]:
         raise ValueError(f"{path}: manifest has no {exc.args[0]!r} key") from None
     weights = [read_matrix_binary(directory / name) for name in weight_names]
     biases = [read_matrix_binary(directory / name).ravel() for name in bias_names]
-    params = ModelParams(arch, weights, biases, dropout)
+    try:
+        params = ModelParams(arch, weights, biases, dropout)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     refinement = None
     if manifest.get("refinement"):
         refinement = RefinementMatrix(read_matrix_binary(directory / manifest["refinement"]))

@@ -1,21 +1,21 @@
 """Minimal trainable classifiers with hand-derived backpropagation.
 
-Two architectures share one code path: ``gcn`` applies the symmetrically
-normalized self-loop operator A in every affine layer, and ``mlp`` skips
-aggregation entirely. A GCN layer applies A on the narrower side of its
-weight matrix: a layer that narrows (``fan_out < fan_in``) computes
-``A(HW) + b``, every other layer ``(AH)W + b``, so each operator product,
-forward and backward, is ``min(fan_in, fan_out)`` columns wide. On a layered
-(neighbor) batch each layer computes only the rows the next layer reads,
-through the batch's rectangular per-layer operator blocks, and the logits
-hold the loss rows only. The forward keeps only what the backward reads:
-each layer's input, one-byte ReLU gates and dropout keep masks, and the
-logits. Both passes work in place on arrays they allocated, and the
-backward releases each layer's cache entries once that layer's gradients
-are formed, so a cache serves one backward. The optimizer is standard
-bias-corrected adaptive moments, updated in place over a flat list of
-parameter arrays, and the inception-style precompute stacks powers of the
-normalized adjacency applied to the features.
+Two architectures share one code path: ``gcn`` aggregates in each affine
+layer with the operator A its batch gives that layer (``Batch.blocks``), and
+in the backward with the transpose given with A; ``mlp`` skips aggregation.
+A GCN layer applies A on the narrower side of its weight matrix: a layer
+that narrows (``fan_out < fan_in``) computes ``A(HW) + b``, every other
+layer ``(AH)W + b``, so each operator product, forward and backward, is
+``min(fan_in, fan_out)`` columns wide. On a neighbor batch's row blocks each
+layer computes only the rows the next layer reads, and the logits hold the
+loss rows only. The forward keeps only what the backward reads: each
+layer's input, one-byte ReLU gates and dropout keep masks, and the logits.
+Both passes work in place on arrays they allocated, and the backward
+releases each layer's cache entries once that layer's gradients are formed,
+so a cache serves one backward. The optimizer is standard bias-corrected
+adaptive moments, updated in place over a flat list of parameter arrays, and
+the inception-style precompute stacks powers of the normalized adjacency
+applied to the features.
 """
 from __future__ import annotations
 
@@ -52,9 +52,11 @@ class ModelParams:
             raise ValueError(f"unknown architecture {self.arch!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("need one bias per weight matrix")
-        for i in range(len(self.weights) - 1):
-            if self.weights[i].shape[1] != self.weights[i + 1].shape[0]:
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if i and self.weights[i - 1].shape[1] != w.shape[0]:
                 raise ValueError("consecutive layer dimensions must chain")
+            if np.shape(b) != (w.shape[1],):
+                raise ValueError(f"layer {i} bias has shape {np.shape(b)}, expected ({w.shape[1]},)")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
 
@@ -81,32 +83,19 @@ def init_model(arch: str, dims, dropout: float, seed: int) -> ModelParams:
 class ForwardCache:
     """What ``backward`` reads, and nothing more.
 
-    Per layer its operator and cached input; per hidden layer its ReLU gate
-    ``z > 0`` and its row-selected dropout keep mask (both ``bool``; the
-    mask is None without dropout); and the logits. ``backward`` sets each
-    layer's input, gate and mask to None once that layer's gradients are
-    formed, so a cache serves exactly one backward.
+    Per layer its operator's transpose and cached input; per hidden layer
+    its ReLU gate ``z > 0`` and its row-selected dropout keep mask (both
+    ``bool``; the mask is None without dropout); and the logits.
+    ``backward`` sets each layer's input, gate and mask to None once that
+    layer's gradients are formed, so a cache serves exactly one backward.
     """
 
     params: ModelParams
-    operators: list[CsrGraph | sp.csr_array | None]
+    transposes: list[sp.sparray | None]
     layer_inputs: list[np.ndarray | None]
     gates: list[np.ndarray | None]
     dropout_masks: list[np.ndarray | None]
     logits: np.ndarray | None = None
-
-
-def _operator(params: ModelParams, batch: Batch, layer: int):
-    """One layer's aggregation operator.
-
-    None for ``mlp``, the batch graph for an unlayered batch and the layer's
-    rectangular block for a layered one.
-    """
-    if batch.layer_graphs is not None and len(batch.layer_graphs) != params.depth:
-        raise ValueError("batch carries layered adjacencies for a different depth")
-    if params.arch == "mlp":
-        return None
-    return batch.subgraph if batch.layer_graphs is None else batch.layer_blocks[layer]
 
 
 def _dropout_keep(gen: np.random.Generator, shape: tuple, p: float) -> np.ndarray:
@@ -122,18 +111,6 @@ def _dropout_keep(gen: np.random.Generator, shape: tuple, p: float) -> np.ndarra
     return words[:size].reshape(shape) >= threshold
 
 
-def _aggregate(op, m: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """``op @ m`` (``op.T @ m`` with ``transpose``) for a graph or a block.
-
-    A graph's normalized operator is symmetric. A block's transpose is a
-    CSC view, which adds up each output row in the same column order as the
-    symmetric CSR product does.
-    """
-    if isinstance(op, CsrGraph):
-        return normalized_spmm(op, m, "sym_norm_self_loops")
-    return (op.T if transpose else op) @ m
-
-
 def _projects_first(op, w: np.ndarray) -> bool:
     """True when the layer computes A(HW): it aggregates and narrows."""
     return op is not None and w.shape[1] < w.shape[0]
@@ -144,10 +121,10 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
     """Logits for the rows the last layer outputs, plus the cache for ``backward``.
 
     ``features`` must hold one row per batch node, aligned with
-    ``batch.global_ids``. The logits hold every batch row, or for a layered
-    batch the ``train_local`` rows only (``batch.loss_rows`` indexes them).
-    Each layer of a layered batch computes only the rows the next layer
-    reads. Dropout applies to hidden activations only and only in train
+    ``batch.global_ids``. Only a GCN asks the batch for its operators, so an
+    ``mlp`` builds none. The logits hold every batch row, or for a batch of
+    layer blocks the ``train_local`` rows only (``batch.loss_rows`` indexes
+    them). Dropout applies to hidden activations only and only in train
     mode, with inverted scaling; each layer's keep mask is drawn
     (``_dropout_keep``) for the rows that layer computes only. With dropout
     0 train and eval mode are the same computation.
@@ -166,18 +143,18 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
     p = params.dropout
     gen = stream(seed) if train_mode and p > 0 else None
     cache = ForwardCache(params, [], [], [], [])
-    if params.arch == "mlp" and batch.layer_graphs is not None:
+    ops = batch.blocks(params.depth) if params.arch == "gcn" else ((None, None),) * params.depth
+    if params.arch == "mlp" and batch.layer_rows is not None:
         h = h[batch.train_local]  # mlp rows are independent: keep only the loss rows
-    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        op = _operator(params, batch, layer)
+    for layer, (w, b, (op, op_t)) in enumerate(zip(params.weights, params.biases, ops)):
         if _projects_first(op, w):
             x = h
-            z = _aggregate(op, h @ w)
+            z = op @ (h @ w)
         else:
-            x = h if op is None else _aggregate(op, h)
+            x = h if op is None else op @ h
             z = x @ w
         z += b
-        cache.operators.append(op)
+        cache.transposes.append(op_t)
         cache.layer_inputs.append(x)
         if layer == params.depth - 1:
             break
@@ -201,9 +178,9 @@ def backward(params: ModelParams, cache: ForwardCache,
     side as the forward: a layer that computed ``A(HW) + b`` forms
     ``adz = A^T dz`` once and takes ``dW = H^T adz`` and ``dH = adz W^T``; a
     ``(AH)W + b`` layer takes ``dW = (AH)^T dz`` and ``dH = A^T(dz W^T)``.
-    On a layered batch ``A`` is the layer's rectangular block, so ``dH``
-    has the rows of the layer's input. The first layer's ``dH`` is never
-    formed.
+    ``A^T`` is the transpose the batch gave with ``A``, so on a layer block
+    ``dH`` has the rows of the layer's input. The first layer's ``dH`` is
+    never formed.
 
     The pass consumes ``cache``: each layer's input, gate and dropout mask
     are released once its weight gradient is formed, and a second call on
@@ -229,16 +206,16 @@ def backward(params: ModelParams, cache: ForwardCache,
             dh *= cache.gates[layer]
             cache.gates[layer] = cache.dropout_masks[layer] = None
         bgrads[layer] = dh.sum(axis=0)  # dh is dz here
-        w, op = params.weights[layer], cache.operators[layer]
-        narrows = _projects_first(op, w)
+        w, op_t = params.weights[layer], cache.transposes[layer]
+        narrows = _projects_first(op_t, w)
         if narrows:
-            dh = _aggregate(op, dh, transpose=True)  # adz
+            dh = op_t @ dh  # adz
         wgrads[layer] = cache.layer_inputs[layer].T @ dh
         cache.layer_inputs[layer] = None
         if layer:
             dh = dh @ w.T
-            if op is not None and not narrows:
-                dh = _aggregate(op, dh, transpose=True)
+            if op_t is not None and not narrows:
+                dh = op_t @ dh
     return wgrads, bgrads
 
 

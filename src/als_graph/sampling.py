@@ -1,5 +1,6 @@
 """Sub-graph batch construction: cluster, random-walk and neighbor regimes.
 
+Every batch gives the model one sparse operator per layer (``Batch.blocks``).
 All samplers are pure functions of (dataset, arguments, seed, epoch, batch
 index), so two runs with identical inputs produce identical batches and
 distinct (epoch, batch) pairs may be built concurrently.
@@ -28,44 +29,27 @@ __all__ = [
 
 @dataclass
 class Batch:
-    """One training batch: local adjacency plus its mapping back to the graph.
+    """One training batch: graph node per row, the loss rows, and each layer's operator.
 
-    ``train_local`` indexes the batch rows that carry a loss. Neighbor
-    batches carry only ``layer_graphs``, one local adjacency per model layer
-    (input side first), and no ``subgraph``; other regimes leave
-    ``layer_graphs`` None and every layer uses ``subgraph`` on every row.
-
-    A layered batch also records, per layer, the rows that layer outputs and
-    its operator restricted to them (both built from ``layer_graphs`` by
-    ``graph._sym_norm_rows`` on construction). The last layer outputs the
-    ``train_local`` rows, in that order; layer ``l - 1`` outputs layer
-    ``l``'s rows plus their neighbours in ``layer_graphs[l]``, in ascending
-    order. ``layer_blocks[l]`` is the rows x input-rows block of layer
-    ``l``'s D^-1/2 (A + I) D^-1/2, entry for entry as ``normalized_spmm``
-    applies it. Layer 0's block is narrowed to the rows it reads too, so
-    layer 0 must read every batch row, as it does in neighbor batches.
+    ``train_local`` indexes the batch rows that carry a loss. Cluster,
+    random-walk and full batches carry one ``graph`` on the batch nodes, and
+    every layer reads its D^-1/2 (A + I) D^-1/2 (``CsrGraph._sym_norm_op``,
+    built on first use) on every row. Neighbor batches carry one row block
+    per model layer in ``layer_blocks`` (input side first) and the rows each
+    layer outputs in ``layer_rows``: the last layer outputs the
+    ``train_local`` rows, in that order, and layer ``l``'s block reads the
+    ascending rows that layer ``l - 1`` outputs (every batch row at layer 0).
     """
 
-    subgraph: CsrGraph | None
     global_ids: np.ndarray
     train_local: np.ndarray
-    layer_graphs: tuple[CsrGraph, ...] | None = None
-    layer_rows: tuple[np.ndarray, ...] | None = field(default=None, init=False)
-    layer_blocks: tuple[sp.csr_array, ...] | None = field(default=None, init=False)
+    graph: CsrGraph | None = None
+    layer_blocks: tuple[sp.csr_array, ...] | None = None
+    layer_rows: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.layer_graphs is None:
-            return
-        if any(g.num_nodes != self.num_nodes for g in self.layer_graphs):
-            raise ValueError("every layer graph must span the batch nodes")
-        rows = np.asarray(self.train_local, dtype=np.int64)
-        layer_rows, blocks = [], []
-        for g in reversed(self.layer_graphs):  # a layer outputs the rows the one above reads
-            layer_rows.append(rows)
-            block, rows = _sym_norm_rows(g, rows)
-            blocks.append(block)
-        self.layer_rows = tuple(reversed(layer_rows))
-        self.layer_blocks = tuple(reversed(blocks))
+        if (self.graph is None) == (not self.layer_blocks):
+            raise ValueError("a batch carries either a graph or layer blocks, not both or neither")
 
     @property
     def num_nodes(self) -> int:
@@ -74,9 +58,17 @@ class Batch:
     @property
     def loss_rows(self) -> np.ndarray:
         """The rows of ``model.forward``'s logits that line up with ``train_local``."""
-        if self.layer_rows is None:
-            return self.train_local
-        return np.arange(self.train_local.size)
+        return self.train_local if self.layer_rows is None else np.arange(self.train_local.size)
+
+    def blocks(self, depth: int) -> tuple[tuple[sp.csr_array, sp.sparray], ...]:
+        """Each of ``depth`` layers' operator and its transpose, input side first
+        (a graph's operator is symmetric: its own transpose, a CSR product)."""
+        if self.layer_blocks is None:
+            op = self.graph._sym_norm_op
+            return ((op, op),) * depth
+        if len(self.layer_blocks) != depth:
+            raise ValueError(f"{len(self.layer_blocks)} layer blocks for model depth {depth}")
+        return tuple((block, block.T) for block in self.layer_blocks)
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,7 @@ def partition_clusters(g: CsrGraph, num_parts: int, seed: int) -> Partition:
 
 def _make_batch(dataset: Dataset, nodes: np.ndarray) -> Batch:
     subgraph, nodes = induced_subgraph(dataset.graph, nodes)
-    return Batch(subgraph, nodes, np.flatnonzero(dataset.train_mask[nodes]))
+    return Batch(nodes, np.flatnonzero(dataset.train_mask[nodes]), subgraph)
 
 
 def cluster_batches(dataset: Dataset, partition: Partition, parts_per_batch: int,
@@ -247,13 +239,13 @@ def neighbor_sample(dataset: Dataset, seed_nodes, fanouts,
     different batches than that loop did; the same inputs still give
     byte-identical batches from run to run.
 
-    The batch stores one symmetrized local adjacency per model layer (input
-    side first) and no ``subgraph``; only the seeds carry a loss. From those
-    graphs it also records the rows each layer outputs and that layer's
-    operator restricted to them (see ``Batch``), so ``model.forward`` and
-    ``backward`` compute each layer only on the rows the next layer reads;
-    the seeds' logits and the gradients equal a full-height computation to
-    the last bits or within a few ulps.
+    Only the seeds carry a loss. Hop ``l``'s kept edges, symmetrized over
+    the batch nodes, form the graph that model layer ``depth - 1 - l`` reads:
+    from the seeds down, each layer's block is its output rows of that
+    graph's D^-1/2 (A + I) D^-1/2 (``graph._sym_norm_rows``; see ``Batch``).
+    So each layer computes only the rows the next layer reads, and the seeds'
+    logits and the gradients equal a full-height computation on the hop
+    graphs to the last bits or within a few ulps.
     """
     given = np.asarray(seed_nodes, dtype=np.int64).ravel()
     if given.size == 0:
@@ -291,14 +283,16 @@ def neighbor_sample(dataset: Dataset, seed_nodes, fanouts,
     nodes = required  # sorted unique
     local_of = np.full(dataset.num_nodes, -1, dtype=np.int64)
     local_of[nodes] = np.arange(nodes.size)
-    local_hops = [build_csr(local_of[e], nodes.size, symmetrize=True) for e in hop_edges]
-    # hop 0 feeds the last model layer, so reverse for input-side order
-    layer_graphs = tuple(reversed(local_hops))
-    train_local = np.searchsorted(nodes, seeds)
-    return Batch(None, nodes, train_local.astype(np.int64), layer_graphs)
+    train_local = np.searchsorted(nodes, seeds).astype(np.int64)
+    rows, layer_rows, blocks = train_local, [], []
+    for edges in hop_edges:  # hop 0 feeds the last model layer: fill from the top
+        layer_rows.insert(0, rows)
+        block, rows = _sym_norm_rows(build_csr(local_of[edges], nodes.size, symmetrize=True), rows)
+        blocks.insert(0, block)
+    return Batch(nodes, train_local, layer_blocks=tuple(blocks), layer_rows=tuple(layer_rows))
 
 
 def full_batch(dataset: Dataset) -> Batch:
     """The whole graph as a single batch (precomputed-feature regimes)."""
-    return Batch(dataset.graph, np.arange(dataset.num_nodes, dtype=np.int64),
-                 np.flatnonzero(dataset.train_mask))
+    return Batch(np.arange(dataset.num_nodes, dtype=np.int64),
+                 np.flatnonzero(dataset.train_mask), dataset.graph)

@@ -93,6 +93,25 @@ def kl_to_uniform(p: np.ndarray) -> float:
     return float(np.sum(p[pos] * np.log(p[pos] * p.size)))
 
 
+def neighbor_sample_with_hops(*args, **kwargs):
+    """``sampling.neighbor_sample``'s batch plus the hop graphs it built, input
+    side first (layer ``l`` reads ``hops[l]``), recorded by wrapping
+    ``sampling.build_csr`` for the one call."""
+    from als_graph import sampling
+
+    built, real = [], sampling.build_csr
+
+    def recording(*a, **k):
+        built.append(real(*a, **k))
+        return built[-1]
+    sampling.build_csr = recording
+    try:
+        batch = sampling.neighbor_sample(*args, **kwargs)
+    finally:
+        sampling.build_csr = real
+    return batch, tuple(reversed(built))
+
+
 def random_distribution(rng: np.random.Generator, c: int) -> np.ndarray:
     p = rng.random(c) + 1e-3
     return p / p.sum()

@@ -160,6 +160,21 @@ class TestNormalizedSpmm:
                 assert g._sym_norm_op is op
                 assert np.abs(again - expected).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [50, 400])
+    def test_sym_norm_transpose_product_is_bit_equal(self, n):
+        # the model's backward applies op.T; on the symmetric whole-graph
+        # operator it must give exactly the bytes of op @ m
+        gen = np.random.default_rng(n)
+        _, edges = random_undirected(gen, n, 8 / n)
+        plain = build_csr(edges, n, symmetrize=True)
+        loops = np.repeat(np.arange(0, n, 2), 2).reshape(-1, 2)  # on every other node
+        looped = build_csr(np.concatenate([edges, loops]), n, symmetrize=True)
+        for g in (plain, looped):
+            op = g._sym_norm_op
+            for width in (1, 8, 128):
+                m = gen.standard_normal((n, width))
+                assert (op.T @ m).tobytes() == (op @ m).tobytes()
+
     def test_identity_input_exposes_inverse_degrees(self, rng):
         dense, edges = random_undirected(rng, 8, 0.4)
         g = build_csr(edges, 8, symmetrize=True)

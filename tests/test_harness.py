@@ -16,7 +16,7 @@ import pytest
 
 from als_graph import harness
 from als_graph import rng as rng_streams
-from als_graph.data import SbmParams, generate_sbm, save_dataset
+from als_graph.data import SbmParams, generate_sbm, save_dataset, write_matrix_binary
 from als_graph.harness import (
     ExperimentConfig,
     apply_overrides,
@@ -300,7 +300,7 @@ class TestEvaluationForwards:
         from als_graph.model import forward
 
         (batch,) = epoch_batches(cfg, result.dataset, result.partition, cfg.epochs - 1)
-        assert batch.subgraph is result.dataset.graph
+        assert batch.graph is result.dataset.graph
         logits, _ = forward(result.params, batch, result.features[batch.global_ids],
                             train_mode=False)
         breakdown, _, _ = _batch_loss(cfg, result.dataset, batch, logits, result.soft_labels,
@@ -315,7 +315,7 @@ class TestEvaluationForwards:
         result = run_training(cfg)
         for epoch in range(cfg.epochs):
             batches = epoch_batches(cfg, result.dataset, None, epoch)
-            assert [b.subgraph is result.dataset.graph for b in batches] == [True, True]
+            assert [b.graph is result.dataset.graph for b in batches] == [True, True]
         # only each later epoch's first batch reuses the evaluation forward
         assert len(calls[True]) == 2 * cfg.epochs - (cfg.epochs - 1)
 
@@ -595,6 +595,13 @@ class TestCheckpoint:
         del doc[key]
         manifest.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=rf"manifest\.json: manifest has no '{key}' key"):
+            load_checkpoint(tmp_path)
+
+    def test_mis_sized_bias_file_names_the_layer(self, tmp_path):
+        result = run_training(small_cfg(epochs=1))
+        save_checkpoint(tmp_path, result.params, result.refinement, small_cfg(epochs=1))
+        write_matrix_binary(np.zeros((1, 1)), tmp_path / "bias_1.bin")
+        with pytest.raises(ValueError, match=r"manifest\.json: layer 1 bias has shape \(1,\)"):
             load_checkpoint(tmp_path)
 
 

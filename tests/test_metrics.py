@@ -12,7 +12,7 @@ def batch_of(dataset, nodes):
     from als_graph.graph import induced_subgraph
 
     sub, gids = induced_subgraph(dataset.graph, nodes)
-    return Batch(sub, gids, np.flatnonzero(dataset.train_mask[gids]))
+    return Batch(gids, np.flatnonzero(dataset.train_mask[gids]), sub)
 
 
 @pytest.fixture

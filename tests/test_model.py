@@ -4,10 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from als_graph import model
 from als_graph.data import SbmParams, generate_sbm, one_hot
-from als_graph.graph import build_csr
+from als_graph.graph import _sym_norm_rows, build_csr, induced_subgraph
 from als_graph.model import (
     ModelParams,
     adam_step,
@@ -18,12 +19,13 @@ from als_graph.model import (
     sign_precompute,
 )
 from als_graph.rng import stream
-from als_graph.sampling import Batch, full_batch, neighbor_sample
+from als_graph.sampling import Batch, cluster_batches, full_batch, partition_clusters
 from als_graph.smoothing import loss_and_grads
 
 from conftest import (
     central_diff,
     dense_sym_norm_self_loops,
+    neighbor_sample_with_hops,
     neighbors,
     random_undirected,
     rel_err,
@@ -33,7 +35,35 @@ from conftest import (
 
 def make_batch(n, edges=()):
     g = build_csr(list(edges), n, symmetrize=True)
-    return Batch(g, np.arange(n), np.arange(n))
+    return Batch(np.arange(n), np.arange(n), g)
+
+
+def layered_batch(n, train_local, layer_graphs):
+    """A batch with one block per layer graph (input side first), built the way
+    ``neighbor_sample`` builds its blocks from its hop graphs."""
+    rows, layer_rows, blocks = train_local, [], []
+    for g in reversed(layer_graphs):
+        layer_rows.append(rows)
+        block, rows = _sym_norm_rows(g, rows)
+        blocks.append(block)
+    return Batch(np.arange(n), train_local, layer_blocks=tuple(reversed(blocks)),
+                 layer_rows=tuple(reversed(layer_rows)))
+
+
+def record_sparse_products(monkeypatch) -> list[int]:
+    """The width of the dense operand of every sparse CSR or CSC product, in order."""
+    widths: list[int] = []
+    for cls in (sp.csr_array, sp.csc_array):
+        def recording(a, m, real=cls.__matmul__):
+            widths.append(m.shape[1])
+            return real(a, m)
+        monkeypatch.setattr(cls, "__matmul__", recording)
+    return widths
+
+
+def neighbor_dataset():
+    return generate_sbm(SbmParams(blocks=3, nodes_per_block=14, p_in=0.3, p_out=0.03,
+                                  feature_dim=4, train_fraction=0.5, seed=1))
 
 
 def keep_rule(gen: np.random.Generator, shape, p: float) -> np.ndarray:
@@ -108,7 +138,7 @@ class TestForward:
         a, train_cache = forward(params, batch, feats, train_mode=True, seed=5)
         b, eval_cache = forward(params, batch, feats, train_mode=False)
         assert a.tobytes() == b.tobytes()
-        assert train_cache.operators == eval_cache.operators
+        assert train_cache.transposes == eval_cache.transposes
         assert train_cache.dropout_masks == eval_cache.dropout_masks == [None] * 2
         for name in ("layer_inputs", "gates"):
             for x, y in zip(getattr(train_cache, name), getattr(eval_cache, name)):
@@ -122,6 +152,18 @@ class TestForward:
         a, _ = forward(params, batch, feats, train_mode=False, seed=1)
         b, _ = forward(params, batch, feats, train_mode=False, seed=2)
         assert np.array_equal(a, b)
+
+    def test_mlp_builds_no_operator(self):
+        d = neighbor_dataset()
+        batch = cluster_batches(d, partition_clusters(d.graph, 4, seed=0), 2, seed=0)[0]
+        assert batch.graph is not d.graph
+        params = init_model("mlp", [4, 6, 3], dropout=0.5, seed=0)
+        logits, cache = forward(params, batch, d.features[batch.global_ids], train_mode=True)
+        backward(params, cache, np.ones_like(logits))
+        assert "_sym_norm_op" not in vars(batch.graph)  # the cached operator was never built
+        gcn = init_model("gcn", [4, 6, 3], dropout=0.5, seed=0)
+        forward(gcn, batch, d.features[batch.global_ids], train_mode=True)
+        assert "_sym_norm_op" in vars(batch.graph)
 
     def test_mlp_ignores_graph(self, rng):
         feats = rng.standard_normal((5, 4))
@@ -204,31 +246,30 @@ class TestBackward:
             assert rel_err(analytic, central_diff(total, array)) < 1e-5
 
     def test_operator_products_take_the_narrower_side(self, rng, monkeypatch):
-        widths: list[int] = []
-        real = model.normalized_spmm
-
-        def recording(g, m, mode):
-            widths.append(m.shape[1])
-            return real(g, m, mode)
-        monkeypatch.setattr(model, "normalized_spmm", recording)
-        dense, edges = random_undirected(rng, 8, 0.4)
-        dims = [3, 5, 7, 2]  # widens, widens, narrows
-        params = init_model("gcn", dims, dropout=0.0, seed=0)
-        logits, cache = forward(params, make_batch(8, edges), rng.standard_normal((8, 3)),
-                                train_mode=False)
-        narrower = [min(a, b) for a, b in zip(dims[:-1], dims[1:])]
-        assert widths == narrower
-        widths.clear()
-        backward(params, cache, rng.standard_normal(logits.shape))
-        # top layer first; the first layer needs no input gradient
-        assert widths == narrower[:0:-1]
+        _, edges = random_undirected(rng, 8, 0.4)
+        whole = make_batch(8, edges)
+        neighbor, _ = self._neighbor_batch()
+        for batch in (whole, neighbor):
+            batch.blocks(3)  # builds a graph's cached operator outside the recording
+            widths = record_sparse_products(monkeypatch)
+            dims = [3, 5, 7, 2]  # widens, widens, narrows
+            params = init_model("gcn", dims, dropout=0.0, seed=0)
+            logits, cache = forward(params, batch, rng.standard_normal((batch.num_nodes, 3)),
+                                    train_mode=False)
+            narrower = [min(a, b) for a, b in zip(dims[:-1], dims[1:])]
+            assert widths == narrower
+            widths.clear()
+            backward(params, cache, rng.standard_normal(logits.shape))
+            # top layer first; the first layer needs no input gradient
+            assert widths == narrower[:0:-1]
+            monkeypatch.undo()
 
     def test_layered_batch_uses_per_layer_graphs(self, rng):
         g_all = build_csr([(0, 1), (1, 2), (2, 3)], 4, symmetrize=True)
         lower = build_csr([(0, 1), (2, 3)], 4, symmetrize=True)
         upper = build_csr([(1, 2)], 4, symmetrize=True)
-        layered = Batch(g_all, np.arange(4), np.array([1]), layer_graphs=(lower, upper))
-        flat = Batch(g_all, np.arange(4), np.array([1]))
+        layered = layered_batch(4, np.array([1]), (lower, upper))
+        flat = Batch(np.arange(4), np.array([1]), g_all)
         feats = rng.standard_normal((4, 2))
         params = init_model("gcn", [2, 4, 2], dropout=0.0, seed=5)
         params.biases[:] = [0.1 * rng.standard_normal(b.shape) for b in params.biases]
@@ -241,24 +282,25 @@ class TestBackward:
         assert np.abs(a[layered.loss_rows] - expected[layered.train_local]).max() < 1e-12
         assert not np.allclose(a[layered.loss_rows], b[flat.loss_rows])
         with pytest.raises(ValueError, match="depth"):
-            bad = Batch(g_all, np.arange(4), np.array([1]), layer_graphs=(lower,))
+            bad = Batch(np.arange(4), np.array([1]), layer_blocks=layered.layer_blocks[:1],
+                        layer_rows=layered.layer_rows[:1])
             forward(params, bad, feats, train_mode=False)
 
     # a neighbor batch of the block-model graph whose three layers output
-    # strictly fewer rows from the input side up
+    # strictly fewer rows from the input side up, and its hop graphs
     @staticmethod
-    def _neighbor_batch():
-        d = generate_sbm(SbmParams(blocks=3, nodes_per_block=14, p_in=0.3, p_out=0.03,
-                                   feature_dim=4, train_fraction=0.5, seed=1))
-        batch = neighbor_sample(d, np.flatnonzero(d.train_mask)[:4], [2, 2, 2], seed=2)
+    def _neighbor_batch(dataset=None):
+        d = neighbor_dataset() if dataset is None else dataset
+        batch, hops = neighbor_sample_with_hops(d, np.flatnonzero(d.train_mask)[:4], [2, 2, 2],
+                                                seed=2)
         sizes = [r.size for r in batch.layer_rows]
         assert sizes[2] < sizes[1] < sizes[0] < batch.num_nodes  # the restriction is exercised
-        return batch
+        return batch, hops
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_neighbor_batch_matches_finite_differences(self, dropout):
         gen = np.random.default_rng(4)
-        batch = self._neighbor_batch()
+        batch, _ = self._neighbor_batch()
         dims = [6, 3, 7, 2]  # narrows (A(HW)), widens ((AH)W), narrows
         feats = gen.standard_normal((batch.num_nodes, dims[0]))
         hard = one_hot(gen.integers(dims[-1], size=batch.train_local.size), dims[-1])
@@ -278,13 +320,13 @@ class TestBackward:
             assert rel_err(analytic, central_diff(total, array)) < 1e-5
 
     def test_layered_batch_computes_only_the_rows_the_next_layer_reads(self, rng):
-        batch = self._neighbor_batch()
+        batch, hops = self._neighbor_batch()
         n = batch.num_nodes
         # expected output rows, from the top: the seeds, then each layer's
         # rows plus their neighbours in the layer graph above
         expected = [None, None, batch.train_local]
         for layer in (2, 1):
-            g, rows = batch.layer_graphs[layer], expected[layer]
+            g, rows = hops[layer], expected[layer]
             expected[layer - 1] = np.union1d(
                 rows, np.concatenate([neighbors(g, int(r)) for r in rows]))
         sizes = [rows.size for rows in expected]
@@ -292,7 +334,7 @@ class TestBackward:
         params = init_model("gcn", [5, 8, 8, 3], dropout=0.5, seed=0)
         logits, cache = forward(params, batch, feats, train_mode=True, seed=1)
         assert [z.shape[0] for z in cache.gates + [cache.logits]] == sizes
-        assert [op.shape for op in cache.operators] == [(sizes[0], n), (sizes[1], sizes[0]),
+        assert [op.T.shape for op in cache.transposes] == [(sizes[0], n), (sizes[1], sizes[0]),
                                                          (sizes[2], sizes[1])]
         assert [m.shape[0] for m in cache.dropout_masks[:2]] == sizes[:2]
         # dense oracle at full batch height; each layer's masks are drawn at the
@@ -300,7 +342,7 @@ class TestBackward:
         gen = stream(1)
         h = feats
         for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-            z = dense_sym_norm_self_loops(to_dense(batch.layer_graphs[layer])) @ h @ w + b
+            z = dense_sym_norm_self_loops(to_dense(hops[layer])) @ h @ w + b
             if layer < 2:
                 keep = np.zeros(z.shape, dtype=bool)
                 keep[expected[layer]] = keep_rule(gen, (sizes[layer], z.shape[1]), 0.5)
@@ -338,9 +380,11 @@ class TestMemoryContract:
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("arch", ["gcn", "mlp"])
     def test_inputs_and_parameters_are_never_written(self, arch, dropout, layered):
-        batch = TestBackward._neighbor_batch()
-        if not layered:
-            batch = Batch(batch.subgraph, batch.global_ids, batch.train_local)
+        d = neighbor_dataset()
+        batch, _ = TestBackward._neighbor_batch(d)
+        if not layered:  # the same rows as one batch graph, every row computed
+            sub, ids = induced_subgraph(d.graph, batch.global_ids)
+            batch = Batch(ids, batch.train_local, sub)
         gen = np.random.default_rng(5)
         dims = [6, 3, 7, 2]  # narrows (A(HW)), widens ((AH)W), narrows
         feats = gen.standard_normal((batch.num_nodes, dims[0]))
@@ -351,13 +395,14 @@ class TestMemoryContract:
         logits, cache = forward(params, batch, feats, train_mode=True, seed=2)
         dlogits = gen.standard_normal(logits.shape)
         dlogits_before = dlogits.tobytes()
+        assert [op is None for op in cache.transposes] == [arch == "mlp"] * 3
         backward(params, cache, dlogits)
         assert [a.tobytes() for a in arrays] == before
         assert dlogits.tobytes() == dlogits_before
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_cache_holds_bool_gates_and_masks_and_is_released(self, dropout):
-        batch = TestBackward._neighbor_batch()
+        batch, _ = TestBackward._neighbor_batch()
         params = init_model("gcn", [6, 3, 7, 2], dropout=dropout, seed=3)
         feats = np.random.default_rng(0).standard_normal((batch.num_nodes, 6))
         logits, cache = forward(params, batch, feats, train_mode=True, seed=2)
@@ -482,6 +527,11 @@ def test_model_params_validation():
         ModelParams("mlp", [np.zeros((3, 4)), np.zeros((5, 2))], [np.zeros(4), np.zeros(2)])
     with pytest.raises(ValueError):
         ModelParams("rnn", [np.zeros((3, 4))], [np.zeros(4)])
+    weights = [np.zeros((3, 4)), np.zeros((4, 5))]
+    with pytest.raises(ValueError, match=r"layer 1 bias has shape \(7,\), expected \(5,\)"):
+        ModelParams("mlp", weights, [np.zeros(4), np.zeros(7)])
+    with pytest.raises(ValueError, match=r"layer 0 bias has shape \(1, 4\), expected \(4,\)"):
+        ModelParams("mlp", weights, [np.zeros((1, 4)), np.zeros(5)])
 
 
 def test_training_step_smoke(rng):

@@ -12,6 +12,7 @@ from als_graph import sampling
 from als_graph.data import SbmParams, generate_sbm, one_hot
 from als_graph.graph import add_self_loops, build_csr
 from als_graph.sampling import (
+    Batch,
     cluster_batches,
     full_batch,
     neighbor_sample,
@@ -20,7 +21,13 @@ from als_graph.sampling import (
 )
 from als_graph.smoothing import loss_and_grads
 
-from conftest import dense_sym_norm_self_loops, neighbors, structurally_equal, to_dense
+from conftest import (
+    dense_sym_norm_self_loops,
+    neighbor_sample_with_hops,
+    neighbors,
+    structurally_equal,
+    to_dense,
+)
 
 
 @pytest.fixture
@@ -181,7 +188,7 @@ class TestClusterBatches:
         p = partition_clusters(dataset.graph, 4, seed=0)
         (batch,) = cluster_batches(dataset, p, 4, seed=0)
         assert batch.num_nodes == dataset.num_nodes
-        assert structurally_equal(batch.subgraph, dataset.graph)
+        assert structurally_equal(batch.graph, dataset.graph)
 
     def test_epoch_covers_each_training_node_once(self, dataset):
         p = partition_clusters(dataset.graph, 6, seed=0)
@@ -196,7 +203,7 @@ class TestClusterBatches:
         b = cluster_batches(dataset, p, 2, seed=3, epoch=1)
         for x, y in zip(a, b):
             assert np.array_equal(x.global_ids, y.global_ids)
-            assert structurally_equal(x.subgraph, y.subgraph)
+            assert structurally_equal(x.graph, y.graph)
 
     def test_batches_match_the_whole_graph_oracle(self, dataset):
         # reference: a node mask over the whole graph and scipy's row/column slicing
@@ -206,8 +213,8 @@ class TestClusterBatches:
             nodes = np.flatnonzero(np.isin(p.part_of, parts))
             ref = dataset.graph._scipy[nodes][:, nodes].sorted_indices()
             assert np.array_equal(batch.global_ids, nodes)
-            assert np.array_equal(batch.subgraph.row_offsets, ref.indptr)
-            assert np.array_equal(batch.subgraph.col_indices, ref.indices)
+            assert np.array_equal(batch.graph.row_offsets, ref.indptr)
+            assert np.array_equal(batch.graph.col_indices, ref.indices)
             assert np.array_equal(batch.train_local, np.flatnonzero(dataset.train_mask[nodes]))
 
     def test_full_graph_batch_loss_equals_full_batch_loss(self, dataset, rng):
@@ -271,15 +278,15 @@ class TestNeighborSample:
 
     def test_zero_fanouts_keep_only_seeds(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:4]
-        batch = neighbor_sample(dataset, seeds, [0, 0], seed=0)
+        batch, hops = neighbor_sample_with_hops(dataset, seeds, [0, 0], seed=0)
         assert np.array_equal(np.sort(batch.global_ids), np.sort(seeds))
-        assert [g.nnz for g in batch.layer_graphs] == [0, 0]
+        assert [g.nnz for g in hops] == [0, 0]
 
     def test_sampled_edges_exist_in_original(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:5]
-        batch = neighbor_sample(dataset, seeds, [3, 2, 2], seed=1)
+        batch, hops = neighbor_sample_with_hops(dataset, seeds, [3, 2, 2], seed=1)
         dense = to_dense(dataset.graph)
-        for g in batch.layer_graphs:
+        for g in hops:
             for u in range(g.num_nodes):
                 for v in neighbors(g, u):
                     gu, gv = batch.global_ids[u], batch.global_ids[int(v)]
@@ -292,26 +299,29 @@ class TestNeighborSample:
 
     def test_one_layer_graph_per_fanout(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:2]
-        batch = neighbor_sample(dataset, seeds, [2, 3, 1], seed=0)
-        assert len(batch.layer_graphs) == 3
+        batch, hops = neighbor_sample_with_hops(dataset, seeds, [2, 3, 1], seed=0)
+        assert len(hops) == len(batch.layer_blocks) == len(batch.layer_rows) == 3
 
     def test_deterministic(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:4]
-        a = neighbor_sample(dataset, seeds, [3, 2], seed=6, epoch=2, batch_index=1)
-        b = neighbor_sample(dataset, seeds, [3, 2], seed=6, epoch=2, batch_index=1)
+        a, hops_a = neighbor_sample_with_hops(dataset, seeds, [3, 2], seed=6, epoch=2,
+                                              batch_index=1)
+        b, hops_b = neighbor_sample_with_hops(dataset, seeds, [3, 2], seed=6, epoch=2,
+                                              batch_index=1)
         assert np.array_equal(a.global_ids, b.global_ids)
         assert np.array_equal(a.train_local, b.train_local)
-        assert len(a.layer_graphs) == len(b.layer_graphs) == 2
-        for ga, gb in zip(a.layer_graphs, b.layer_graphs):
+        assert len(hops_a) == len(hops_b) == 2
+        for ga, gb in zip(hops_a, hops_b):
             assert structurally_equal(ga, gb)
+        for x, y in zip(a.layer_blocks, b.layer_blocks):
+            assert (x != y).nnz == 0
 
     def test_fanout_respected(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:6]
-        batch = neighbor_sample(dataset, seeds, [2], seed=5)
+        batch, (hop,) = neighbor_sample_with_hops(dataset, seeds, [2], seed=5)
         # hop adjacency is symmetrized, so out-degree can exceed the fanout,
         # but sampled out-edges per source are capped before symmetrization
         local_seeds = batch.train_local
-        hop = batch.layer_graphs[0]
         sampled = {(u, int(v)) for u in local_seeds for v in neighbors(hop, int(u))}
         per_source = {}
         for u, v in sampled:
@@ -343,8 +353,8 @@ class TestNeighborSample:
         assert d > fanout  # oracle precondition
         picks = np.zeros(dataset.num_nodes, dtype=np.int64)
         for rng_seed in range(draws):
-            batch = neighbor_sample(dataset, [seed_node], [fanout], seed=rng_seed)
-            (hop0,) = batch.layer_graphs
+            batch, (hop0,) = neighbor_sample_with_hops(dataset, [seed_node], [fanout],
+                                                        seed=rng_seed)
             chosen = batch.global_ids[neighbors(hop0, int(batch.train_local[0]))]
             assert chosen.size == fanout  # distinct, since CSR rows are duplicate-free
             assert np.isin(chosen, nbrs).all()
@@ -357,10 +367,10 @@ class TestNeighborSample:
     def test_layer_graphs_are_symmetric_and_no_union_is_built(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:5]
         for rng_seed in range(3):
-            batch = neighbor_sample(dataset, seeds, [3, 2, 2], seed=rng_seed)
-            assert batch.subgraph is None
+            batch, hops = neighbor_sample_with_hops(dataset, seeds, [3, 2, 2], seed=rng_seed)
+            assert batch.graph is None
             assert batch.num_nodes == batch.global_ids.size
-            for g in batch.layer_graphs:
+            for g in hops:
                 assert g.num_nodes == batch.num_nodes
                 dense = to_dense(g)
                 assert np.array_equal(dense, dense.T)
@@ -371,11 +381,11 @@ class TestNeighborSample:
             dataset.graph = add_self_loops(dataset.graph)
         seeds = np.flatnonzero(dataset.train_mask)[3:9]
         for rng_seed in range(3):
-            batch = neighbor_sample(dataset, seeds, [3, 2, 2], seed=rng_seed)
+            batch, hops = neighbor_sample_with_hops(dataset, seeds, [3, 2, 2], seed=rng_seed)
             assert np.array_equal(batch.loss_rows, np.arange(seeds.size))
             rows = batch.train_local
             for layer in (2, 1, 0):
-                g = batch.layer_graphs[layer]
+                g = hops[layer]
                 assert np.array_equal(batch.layer_rows[layer], rows)
                 assert np.all(np.diff(rows) > 0)
                 reads = np.union1d(rows, np.concatenate([neighbors(g, int(r)) for r in rows]))
@@ -391,15 +401,32 @@ class TestNeighborSample:
                 rows = reads
             assert np.array_equal(rows, np.arange(batch.num_nodes))  # layer 0 reads every row
             if self_loops:  # some hop kept a loop, so the merge above was exercised
-                assert any(np.any(np.equal(*g.edge_arrays())) for g in batch.layer_graphs)
+                assert any(np.any(np.equal(*g.edge_arrays())) for g in hops)
 
     def test_unlayered_batches_record_no_rows(self, dataset):
         batch = full_batch(dataset)
         assert batch.layer_rows is None and batch.layer_blocks is None
         assert batch.loss_rows is batch.train_local
 
+    def test_a_batch_needs_exactly_one_operator_source(self, dataset):
+        batch = neighbor_sample(dataset, np.flatnonzero(dataset.train_mask)[:3], [2, 2], seed=0)
+        ids, train = batch.global_ids, batch.train_local
+        with pytest.raises(ValueError, match="either a graph or layer blocks"):
+            Batch(ids, train)
+        with pytest.raises(ValueError, match="either a graph or layer blocks"):
+            Batch(ids, train, layer_blocks=())
+        with pytest.raises(ValueError, match="either a graph or layer blocks"):
+            Batch(ids, train, dataset.graph, batch.layer_blocks, batch.layer_rows)
+        blocks = batch.blocks(2)
+        assert all(op is block for (op, _), block in zip(blocks, batch.layer_blocks))
+        assert all(op_t.shape == op.shape[::-1] and (op_t != op.T).nnz == 0 for op, op_t in blocks)
+        with pytest.raises(ValueError, match="depth 3"):
+            batch.blocks(3)
+        whole = dataset.graph._sym_norm_op  # the graph's operator, as its own transpose
+        assert [a is whole and b is whole for a, b in full_batch(dataset).blocks(3)] == [True] * 3
+
 
 def test_full_batch_covers_graph(dataset):
     batch = full_batch(dataset)
-    assert batch.subgraph is dataset.graph
+    assert batch.graph is dataset.graph
     assert np.array_equal(batch.global_ids[batch.train_local], np.flatnonzero(dataset.train_mask))
