@@ -4,6 +4,9 @@
 Reproduces the headline comparison at desk scale: a memorizing plain run grows
 over-confident and its test loss climbs, while the smoothed runs stay
 calibrated. Writes one report per (method, seed) and prints a summary table.
+Each ``--set key=value`` overrides one config key after the other flags, e.g.
+``--set sampler.kind=neighbor --set sampler.seeds_per_batch=16`` trains on
+neighbor batches of 16 seeds.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ def base_config(args: argparse.Namespace) -> ExperimentConfig:
     return build_config(apply_overrides(load_config_file(PROTOCOL_CFG), [
         f"train.epochs={args.epochs}", f"train.lr={args.lr}",
         f"sampler.num_parts={args.num_parts}", f"sbm.feature_noise={args.feature_noise}",
+        *args.set,
     ]))
 
 
@@ -40,9 +44,14 @@ def main() -> None:
     parser.add_argument("--num-parts", type=int, default=2)
     parser.add_argument("--feature-noise", type=float, default=6.0)
     parser.add_argument("--out-dir", type=Path, default=Path("runs/smoothing_comparison"))
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override one config key; repeatable")
     args = parser.parse_args()
 
-    base = base_config(args)
+    try:
+        base = base_config(args)
+    except ValueError as err:
+        parser.error(str(err))
     methods = {
         "plain": replace(base, loss_mode="plain"),
         "ls": replace(base, loss_mode="ls", pacing_kind="constant", alpha_const=0.1),

@@ -196,24 +196,33 @@ def induced_subgraph(g: CsrGraph, nodes) -> tuple[CsrGraph, np.ndarray]:
     return build_csr(pairs, nodes.size), nodes.copy()
 
 
-def _sym_norm_rows(g: CsrGraph, rows: np.ndarray) -> tuple[sp.csr_array, np.ndarray]:
+def _sym_norm_rows(g: CsrGraph, rows: np.ndarray, nbrs: np.ndarray | None = None,
+                   kept: np.ndarray | None = None) -> tuple[sp.csr_array, np.ndarray]:
     """Rows ``rows`` of D^-1/2 (A + I) D^-1/2 on ``g``, narrowed to the nodes they read.
 
-    Returns ``(block, columns)``: ``columns`` lists, ascending, the nodes the
-    rows read (each row reads itself and its neighbours), and column ``j`` of
+    Each row reads itself and its neighbours or, given a sample, the
+    ``kept[i]`` neighbours row ``i`` drew (``nbrs``, ascending within each
+    row), its neighbour entries scaled by d_u / kept_u: an unbiased estimate
+    of the row (VR-GCN, arXiv 1710.10568). Returns ``(block, columns)``:
+    ``columns`` lists, ascending, the nodes the rows read, and column ``j`` of
     ``block`` is node ``columns[j]``. On every row, ``columns`` is every node
     and ``block`` the whole operator. Each row's entries are in ascending
     node id, so a row sums in the same order whichever block holds it.
     """
-    src, nbrs, _ = _gather_rows(g, rows)
-    lengths = g.degrees[rows]
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
+    if nbrs is None:
+        _, nbrs, _ = _gather_rows(g, rows)
+        kept = g.degrees[rows]
+    src = np.repeat(rows, kept)
+    ends = np.cumsum(kept)
+    starts = ends - kept
     # the self loop goes after the row's neighbours with smaller ids
     below = np.concatenate(([0], np.cumsum(nbrs < src)))
-    cols = np.insert(nbrs, starts + below[ends] - below[starts], rows)
+    at = starts + below[ends] - below[starts]
+    cols = np.insert(nbrs, at, rows)
+    # d_u / kept_u per neighbour entry, 1 on the self entry (exactly 1 for an unsampled row)
+    weight = np.insert(np.repeat(g.degrees[rows] / np.maximum(kept, 1), kept), at, 1.0)
     scale = 1.0 / np.sqrt(g.degrees + 1.0)
-    data = np.repeat(scale[rows], lengths + 1) * scale[cols]
+    data = np.repeat(scale[rows], kept + 1) * scale[cols] * weight
     indptr = np.concatenate(([0], ends + np.arange(1, rows.size + 1)))
     read = np.zeros(g.num_nodes, dtype=bool)
     read[cols] = True

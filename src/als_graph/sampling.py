@@ -13,7 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import Dataset
-from .graph import CsrGraph, _gather_rows, _sym_norm_rows, build_csr, induced_subgraph
+from .graph import CsrGraph, _gather_rows, _sym_norm_rows, induced_subgraph
+from .graph import build_csr  # noqa: F401  read only by bench/tracing.py's TARGETS
 from .rng import stream
 
 __all__ = [
@@ -39,6 +40,8 @@ class Batch:
     layer outputs in ``layer_rows``: the last layer outputs the
     ``train_local`` rows, in that order, and layer ``l``'s block reads the
     ascending rows that layer ``l - 1`` outputs (every batch row at layer 0).
+    Each block row estimates that node's row of the whole graph's operator
+    from the neighbours it drew (``neighbor_sample``).
     """
 
     global_ids: np.ndarray
@@ -231,21 +234,21 @@ def neighbor_sample(dataset: Dataset, seed_nodes, fanouts,
                     seed: int, epoch: int = 0, batch_index: int = 0) -> Batch:
     """Layered neighbor expansion around a set of training seeds.
 
-    At hop ``l`` every required node keeps ``min(degree, fanouts[l])`` of its
-    neighbors, drawn uniformly without replacement: each candidate edge of
-    the hop gets one uniform random integer key, and a node keeps the edges
-    with the ``fanouts[l]`` smallest keys in its row. This one draw per hop
-    replaced a per-node ``Generator.choice`` loop, so a given seed yields
-    different batches than that loop did; the same inputs still give
-    byte-identical batches from run to run.
+    At hop ``l`` every node reached so far (the seeds at hop 0) keeps
+    ``min(degree, fanouts[l])`` of its neighbors, drawn uniformly without
+    replacement: each candidate edge of the hop gets one uniform random
+    integer key, and a node keeps the edges with the ``fanouts[l]`` smallest
+    keys in its row. The same inputs give byte-identical batches.
 
-    Only the seeds carry a loss. Hop ``l``'s kept edges, symmetrized over
-    the batch nodes, form the graph that model layer ``depth - 1 - l`` reads:
-    from the seeds down, each layer's block is its output rows of that
-    graph's D^-1/2 (A + I) D^-1/2 (``graph._sym_norm_rows``; see ``Batch``).
-    So each layer computes only the rows the next layer reads, and the seeds'
-    logits and the gradients equal a full-height computation on the hop
-    graphs to the last bits or within a few ulps.
+    Only the seeds carry a loss. Model layer ``depth - 1 - l`` reads hop
+    ``l``'s draws directly: its rows are the nodes expanded at hop ``l``, and
+    each row reads itself and the neighbours it drew, with the whole graph's
+    D^-1/2 (A + I) D^-1/2 entries and the neighbour entries scaled by
+    degree / kept (``graph._sym_norm_rows``; see ``Batch``). So each layer
+    computes only the rows the next layer reads, every row is an unbiased
+    estimate of that row of the operator the model is evaluated with, and
+    with fanouts at or above the maximum degree the seeds' logits equal the
+    whole-graph forward's rows to a few ulps.
     """
     given = np.asarray(seed_nodes, dtype=np.int64).ravel()
     if given.size == 0:
@@ -267,29 +270,20 @@ def neighbor_sample(dataset: Dataset, seed_nodes, fanouts,
     # sort, not at random) are vanishingly rare
     span = np.iinfo(np.int64).max // g.num_nodes
 
-    in_batch = np.zeros(g.num_nodes, dtype=bool)
-    in_batch[seeds] = True
-    required = seeds
-    hop_edges: list[np.ndarray] = []
-    for fanout in fanouts:
-        src, nbrs, within = _gather_rows(g, required)
+    rows, layer_rows, blocks = seeds, [], []
+    for fanout in fanouts:  # hop 0 feeds the last model layer: fill from the top
+        src, nbrs, within = _gather_rows(g, rows)
         # src is sorted, so sorting by (src, key) keeps every row where it
-        # was: the entry at sorted position i has rank within[i] in its row
-        kept = np.argsort(src * span + gen.integers(span, size=nbrs.size))[within < fanout]
-        hop_edges.append(np.stack([src[kept], nbrs[kept]], axis=1))
-        in_batch[nbrs[kept]] = True
-        required = np.flatnonzero(in_batch)
-
-    nodes = required  # sorted unique
-    local_of = np.full(dataset.num_nodes, -1, dtype=np.int64)
-    local_of[nodes] = np.arange(nodes.size)
-    train_local = np.searchsorted(nodes, seeds).astype(np.int64)
-    rows, layer_rows, blocks = train_local, [], []
-    for edges in hop_edges:  # hop 0 feeds the last model layer: fill from the top
+        # was: the entry at sorted position i has rank within[i] in its row;
+        # sorting the kept positions puts each row's picks in ascending id
+        kept = np.sort(np.argsort(src * span + gen.integers(span, size=nbrs.size))[within < fanout])
         layer_rows.insert(0, rows)
-        block, rows = _sym_norm_rows(build_csr(local_of[edges], nodes.size, symmetrize=True), rows)
+        # the columns this hop reads are the rows the next hop expands
+        block, rows = _sym_norm_rows(g, rows, nbrs[kept], np.minimum(g.degrees[rows], fanout))
         blocks.insert(0, block)
-    return Batch(nodes, train_local, layer_blocks=tuple(blocks), layer_rows=tuple(layer_rows))
+    # rows now holds every batch node, ascending
+    return Batch(rows, np.searchsorted(rows, seeds), layer_blocks=tuple(blocks),
+                 layer_rows=tuple(np.searchsorted(rows, r) for r in layer_rows))
 
 
 def full_batch(dataset: Dataset) -> Batch:

@@ -93,23 +93,35 @@ def kl_to_uniform(p: np.ndarray) -> float:
     return float(np.sum(p[pos] * np.log(p[pos] * p.size)))
 
 
-def neighbor_sample_with_hops(*args, **kwargs):
-    """``sampling.neighbor_sample``'s batch plus the hop graphs it built, input
-    side first (layer ``l`` reads ``hops[l]``), recorded by wrapping
-    ``sampling.build_csr`` for the one call."""
-    from als_graph import sampling
+def block_reads(batch, layer: int) -> dict[int, np.ndarray]:
+    """Each row of a layered batch's block ``layer``, as global node id -> the
+    global ids its nonzero entries read, in stored order. Layer ``l``'s columns
+    are the rows layer ``l - 1`` outputs, and every batch row at layer 0."""
+    block = batch.layer_blocks[layer]
+    cols = batch.global_ids[batch.layer_rows[layer - 1] if layer else np.arange(batch.num_nodes)]
+    rows = batch.global_ids[batch.layer_rows[layer]]
+    return {int(u): cols[block.indices[block.indptr[i] : block.indptr[i + 1]]]
+            for i, u in enumerate(rows)}
 
-    built, real = [], sampling.build_csr
 
-    def recording(*a, **k):
-        built.append(real(*a, **k))
-        return built[-1]
-    sampling.build_csr = recording
-    try:
-        batch = sampling.neighbor_sample(*args, **kwargs)
-    finally:
-        sampling.build_csr = real
-    return batch, tuple(reversed(built))
+def dense_sampled_rows(dense: np.ndarray, picks: dict[int, np.ndarray]) -> np.ndarray:
+    """Dense oracle of a sampled layer on the whole graph's 0/1 adjacency.
+
+    Row u (a key of ``picks``) is row u of D^-1/2 (A + I) D^-1/2 with the
+    whole graph's degrees, keeping the I entry and A's entries at
+    ``picks[u]`` only, the latter scaled by d_u / len(picks[u]); a picked
+    stored loop adds up with I. Every other row is zero.
+    """
+    deg = dense.sum(axis=1)
+    inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
+    op_a = np.diag(inv_sqrt) @ dense @ np.diag(inv_sqrt)
+    out = np.zeros_like(dense)
+    for u, chosen in picks.items():
+        weight = np.zeros(dense.shape[0])
+        weight[chosen] = deg[u] / max(len(chosen), 1)
+        out[u] = op_a[u] * weight
+        out[u, u] += inv_sqrt[u] * inv_sqrt[u]
+    return out
 
 
 def random_distribution(rng: np.random.Generator, c: int) -> np.ndarray:

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from als_graph.graph import CsrGraph, add_self_loops, build_csr, induced_subgraph, normalized_spmm
+from als_graph.graph import (
+    CsrGraph,
+    _gather_rows,
+    _sym_norm_rows,
+    add_self_loops,
+    build_csr,
+    induced_subgraph,
+    normalized_spmm,
+)
 
 from conftest import (
     dense_row_norm,
@@ -203,6 +211,33 @@ class TestNormalizedSpmm:
             normalized_spmm(g, np.ones((3, 2)), "row_norm")
         with pytest.raises(ValueError, match="mode"):
             normalized_spmm(g, np.ones((2, 2)), "bogus")
+
+
+class TestSymNormRows:
+    @pytest.mark.parametrize("looped", [False, True], ids=["plain", "self_loops"])
+    def test_every_neighbour_given_is_the_default_to_the_bit(self, looped):
+        gen = np.random.default_rng(3)
+        _, edges = random_undirected(gen, 60, 0.1)
+        g = build_csr(edges, 60, symmetrize=True)
+        g = add_self_loops(g) if looped else g
+        rows = np.sort(gen.choice(60, size=25, replace=False))
+        default, cols = _sym_norm_rows(g, rows)
+        _, nbrs, _ = _gather_rows(g, rows)
+        given, given_cols = _sym_norm_rows(g, rows, nbrs, g.degrees[rows])
+        assert np.array_equal(cols, given_cols)
+        for a, b in ((default, given), (given, g._sym_norm_op[rows][:, cols])):
+            assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            assert a.data.tobytes() == b.data.tobytes()
+
+    def test_a_row_that_keeps_no_neighbour_reads_itself_alone(self):
+        g = build_csr([(0, 1), (1, 2)], 4, symmetrize=True)  # node 3 has degree 0
+        expected = np.diag(dense_sym_norm_self_loops(to_dense(g)))
+        assert np.allclose(expected, 1.0 / (g.degrees + 1.0), rtol=1e-15, atol=0.0)
+        rows, none = np.array([1, 3]), np.zeros(0, dtype=np.int64)
+        for block, cols in (_sym_norm_rows(g, rows, none, np.zeros(2, dtype=np.int64)),
+                            _sym_norm_rows(g, np.array([3]))):
+            assert np.array_equal(cols, rows[-block.shape[0]:])
+            assert np.array_equal(block.toarray(), np.diag(expected[cols]))
 
 
 class TestInducedSubgraph:

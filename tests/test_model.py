@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from als_graph import model
+from als_graph import harness, model
 from als_graph.data import SbmParams, generate_sbm, one_hot
 from als_graph.graph import _sym_norm_rows, build_csr, induced_subgraph
 from als_graph.model import (
@@ -19,14 +19,20 @@ from als_graph.model import (
     sign_precompute,
 )
 from als_graph.rng import stream
-from als_graph.sampling import Batch, cluster_batches, full_batch, partition_clusters
+from als_graph.sampling import (
+    Batch,
+    cluster_batches,
+    full_batch,
+    neighbor_sample,
+    partition_clusters,
+)
 from als_graph.smoothing import loss_and_grads
 
 from conftest import (
+    block_reads,
     central_diff,
+    dense_sampled_rows,
     dense_sym_norm_self_loops,
-    neighbor_sample_with_hops,
-    neighbors,
     random_undirected,
     rel_err,
     to_dense,
@@ -248,7 +254,7 @@ class TestBackward:
     def test_operator_products_take_the_narrower_side(self, rng, monkeypatch):
         _, edges = random_undirected(rng, 8, 0.4)
         whole = make_batch(8, edges)
-        neighbor, _ = self._neighbor_batch()
+        neighbor = self._neighbor_batch()
         for batch in (whole, neighbor):
             batch.blocks(3)  # builds a graph's cached operator outside the recording
             widths = record_sparse_products(monkeypatch)
@@ -287,20 +293,19 @@ class TestBackward:
             forward(params, bad, feats, train_mode=False)
 
     # a neighbor batch of the block-model graph whose three layers output
-    # strictly fewer rows from the input side up, and its hop graphs
+    # strictly fewer rows from the input side up
     @staticmethod
     def _neighbor_batch(dataset=None):
         d = neighbor_dataset() if dataset is None else dataset
-        batch, hops = neighbor_sample_with_hops(d, np.flatnonzero(d.train_mask)[:4], [2, 2, 2],
-                                                seed=2)
+        batch = neighbor_sample(d, np.flatnonzero(d.train_mask)[:4], [2, 2, 2], seed=2)
         sizes = [r.size for r in batch.layer_rows]
         assert sizes[2] < sizes[1] < sizes[0] < batch.num_nodes  # the restriction is exercised
-        return batch, hops
+        return batch
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_neighbor_batch_matches_finite_differences(self, dropout):
         gen = np.random.default_rng(4)
-        batch, _ = self._neighbor_batch()
+        batch = self._neighbor_batch()
         dims = [6, 3, 7, 2]  # narrows (A(HW)), widens ((AH)W), narrows
         feats = gen.standard_normal((batch.num_nodes, dims[0]))
         hard = one_hot(gen.integers(dims[-1], size=batch.train_local.size), dims[-1])
@@ -319,16 +324,39 @@ class TestBackward:
         for analytic, array in zip(wgrads + bgrads, params.weights + params.biases):
             assert rel_err(analytic, central_diff(total, array)) < 1e-5
 
+    def test_full_fanout_seed_logits_equal_the_whole_graph_forward(self):
+        """With fanouts at or above the maximum degree nothing is dropped, so
+        the seeds' logits are the whole-graph forward's rows to a few ulps
+        (the benchmark's ``neighbor`` graph, seed 3, one 64-seed batch)."""
+        cfg = harness.build_config({"sampler.kind": "neighbor", "sampler.fanouts": "10,10,10",
+                                    "sampler.seeds_per_batch": "64", "sbm.seed": "3"})
+        d = harness.build_dataset(cfg)
+        fanout = 10**6
+        assert fanout >= d.graph.degrees.max()
+        seeds = np.flatnonzero(d.train_mask)[:64]
+        batch = neighbor_sample(d, seeds, [fanout] * cfg.depth, seed=3)
+        dims = [d.features.shape[1]] + [cfg.hidden] * (cfg.depth - 1) + [d.num_classes]
+        params = init_model("gcn", dims, dropout=0.0, seed=3)
+        logits, _ = forward(params, batch, d.features[batch.global_ids], train_mode=False)
+        whole, _ = forward(params, full_batch(d), d.features, train_mode=False)
+        assert np.abs(logits[batch.loss_rows] - whole[seeds]).max() <= 4 * np.spacing(
+            np.abs(whole).max())
+
     def test_layered_batch_computes_only_the_rows_the_next_layer_reads(self, rng):
-        batch, hops = self._neighbor_batch()
-        n = batch.num_nodes
+        d = neighbor_dataset()
+        batch = self._neighbor_batch(d)
+        n, ids = batch.num_nodes, batch.global_ids
+        # each layer's operator at batch height: the whole graph's dense oracle
+        # on the picks read from the block's columns (no stored loops here)
+        ops = [dense_sampled_rows(to_dense(d.graph), {u: cols[cols != u] for u, cols in
+                                                      block_reads(batch, layer).items()})
+               for layer in range(3)]
+        ops = [op[np.ix_(ids, ids)] for op in ops]
         # expected output rows, from the top: the seeds, then each layer's
-        # rows plus their neighbours in the layer graph above
+        # rows plus the neighbours they drew in the layer above
         expected = [None, None, batch.train_local]
         for layer in (2, 1):
-            g, rows = hops[layer], expected[layer]
-            expected[layer - 1] = np.union1d(
-                rows, np.concatenate([neighbors(g, int(r)) for r in rows]))
+            expected[layer - 1] = np.flatnonzero(ops[layer][expected[layer]].any(axis=0))
         sizes = [rows.size for rows in expected]
         feats = rng.standard_normal((n, 5))
         params = init_model("gcn", [5, 8, 8, 3], dropout=0.5, seed=0)
@@ -342,7 +370,7 @@ class TestBackward:
         gen = stream(1)
         h = feats
         for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-            z = dense_sym_norm_self_loops(to_dense(hops[layer])) @ h @ w + b
+            z = ops[layer] @ h @ w + b
             if layer < 2:
                 keep = np.zeros(z.shape, dtype=bool)
                 keep[expected[layer]] = keep_rule(gen, (sizes[layer], z.shape[1]), 0.5)
@@ -381,7 +409,7 @@ class TestMemoryContract:
     @pytest.mark.parametrize("arch", ["gcn", "mlp"])
     def test_inputs_and_parameters_are_never_written(self, arch, dropout, layered):
         d = neighbor_dataset()
-        batch, _ = TestBackward._neighbor_batch(d)
+        batch = TestBackward._neighbor_batch(d)
         if not layered:  # the same rows as one batch graph, every row computed
             sub, ids = induced_subgraph(d.graph, batch.global_ids)
             batch = Batch(ids, batch.train_local, sub)
@@ -402,7 +430,7 @@ class TestMemoryContract:
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_cache_holds_bool_gates_and_masks_and_is_released(self, dropout):
-        batch, _ = TestBackward._neighbor_batch()
+        batch = TestBackward._neighbor_batch()
         params = init_model("gcn", [6, 3, 7, 2], dropout=dropout, seed=3)
         feats = np.random.default_rng(0).standard_normal((batch.num_nodes, 6))
         logits, cache = forward(params, batch, feats, train_mode=True, seed=2)

@@ -22,8 +22,9 @@ from als_graph.sampling import (
 from als_graph.smoothing import loss_and_grads
 
 from conftest import (
+    block_reads,
+    dense_sampled_rows,
     dense_sym_norm_self_loops,
-    neighbor_sample_with_hops,
     neighbors,
     structurally_equal,
     to_dense,
@@ -278,19 +279,23 @@ class TestNeighborSample:
 
     def test_zero_fanouts_keep_only_seeds(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:4]
-        batch, hops = neighbor_sample_with_hops(dataset, seeds, [0, 0], seed=0)
+        batch = neighbor_sample(dataset, seeds, [0, 0], seed=0)
         assert np.array_equal(np.sort(batch.global_ids), np.sort(seeds))
-        assert [g.nnz for g in hops] == [0, 0]
+        # each block is the seeds' diagonal of the whole-graph operator, 1 / (d_u + 1)
+        diagonal = np.diag(dense_sym_norm_self_loops(to_dense(dataset.graph)))[batch.global_ids]
+        assert np.allclose(diagonal, 1.0 / (dataset.graph.degrees[batch.global_ids] + 1.0),
+                           rtol=1e-15, atol=0.0)
+        for block in batch.layer_blocks:
+            assert np.array_equal(block.toarray(), np.diag(diagonal))
 
     def test_sampled_edges_exist_in_original(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:5]
-        batch, hops = neighbor_sample_with_hops(dataset, seeds, [3, 2, 2], seed=1)
+        batch = neighbor_sample(dataset, seeds, [3, 2, 2], seed=1)
         dense = to_dense(dataset.graph)
-        for g in hops:
-            for u in range(g.num_nodes):
-                for v in neighbors(g, u):
-                    gu, gv = batch.global_ids[u], batch.global_ids[int(v)]
-                    assert dense[gu, gv] == 1.0
+        for layer in range(3):
+            for u, reads in block_reads(batch, layer).items():
+                assert u in reads
+                assert np.all(dense[u, reads[reads != u]] == 1.0)
 
     def test_train_local_is_exactly_the_seeds(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[2:7]
@@ -299,38 +304,35 @@ class TestNeighborSample:
 
     def test_one_layer_graph_per_fanout(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:2]
-        batch, hops = neighbor_sample_with_hops(dataset, seeds, [2, 3, 1], seed=0)
-        assert len(hops) == len(batch.layer_blocks) == len(batch.layer_rows) == 3
+        for rng_seed in range(3):
+            batch = neighbor_sample(dataset, seeds, [2, 3, 1], seed=rng_seed)
+            assert len(batch.layer_blocks) == len(batch.layer_rows) == 3
+            assert batch.graph is None  # no union graph is built
+            assert batch.num_nodes == batch.global_ids.size
 
     def test_deterministic(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:4]
-        a, hops_a = neighbor_sample_with_hops(dataset, seeds, [3, 2], seed=6, epoch=2,
-                                              batch_index=1)
-        b, hops_b = neighbor_sample_with_hops(dataset, seeds, [3, 2], seed=6, epoch=2,
-                                              batch_index=1)
+        a = neighbor_sample(dataset, seeds, [3, 2], seed=6, epoch=2, batch_index=1)
+        b = neighbor_sample(dataset, seeds, [3, 2], seed=6, epoch=2, batch_index=1)
         assert np.array_equal(a.global_ids, b.global_ids)
         assert np.array_equal(a.train_local, b.train_local)
-        assert len(hops_a) == len(hops_b) == 2
-        for ga, gb in zip(hops_a, hops_b):
-            assert structurally_equal(ga, gb)
+        assert len(a.layer_blocks) == len(b.layer_blocks) == 2
+        for x, y in zip(a.layer_rows, b.layer_rows):
+            assert np.array_equal(x, y)
         for x, y in zip(a.layer_blocks, b.layer_blocks):
-            assert (x != y).nnz == 0
+            assert x.shape == y.shape and (x != y).nnz == 0
 
     def test_fanout_respected(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:6]
-        batch, (hop,) = neighbor_sample_with_hops(dataset, seeds, [2], seed=5)
-        # hop adjacency is symmetrized, so out-degree can exceed the fanout,
-        # but sampled out-edges per source are capped before symmetrization
-        local_seeds = batch.train_local
-        sampled = {(u, int(v)) for u in local_seeds for v in neighbors(hop, int(u))}
-        per_source = {}
-        for u, v in sampled:
-            per_source.setdefault(u, set()).add(v)
-        # each seed contributed at most fanout targets of its own
-        for u in local_seeds:
-            own = per_source.get(int(u), set())
-            backlinks = {v for v, targets in per_source.items() if int(u) in targets}
-            assert len(own - backlinks) <= 2
+        degrees = dataset.graph.degrees
+        for fanout in (0, 2, int(degrees.max())):
+            batch = neighbor_sample(dataset, seeds, [fanout], seed=5)
+            reads = block_reads(batch, 0)
+            assert sorted(reads) == sorted(seeds.tolist())
+            # each row holds itself plus exactly min(d_u, fanout) drawn neighbours, ascending
+            for u, cols in reads.items():
+                assert np.all(np.diff(cols) > 0)
+                assert u in cols and cols.size == min(degrees[u], fanout) + 1
 
     def test_errors(self, dataset):
         with pytest.raises(ValueError, match="empty"):
@@ -353,10 +355,9 @@ class TestNeighborSample:
         assert d > fanout  # oracle precondition
         picks = np.zeros(dataset.num_nodes, dtype=np.int64)
         for rng_seed in range(draws):
-            batch, (hop0,) = neighbor_sample_with_hops(dataset, [seed_node], [fanout],
-                                                        seed=rng_seed)
-            chosen = batch.global_ids[neighbors(hop0, int(batch.train_local[0]))]
-            assert chosen.size == fanout  # distinct, since CSR rows are duplicate-free
+            reads = block_reads(neighbor_sample(dataset, [seed_node], [fanout], seed=rng_seed), 0)
+            chosen = reads[seed_node][reads[seed_node] != seed_node]
+            assert chosen.size == fanout  # distinct: a CSR row holds each column once
             assert np.isin(chosen, nbrs).all()
             picks[chosen] += 1
         # each neighbor is picked Binomial(draws, fanout/d) times; allow five
@@ -364,44 +365,67 @@ class TestNeighborSample:
         p = fanout / d
         assert np.all(np.abs(picks[nbrs] - draws * p) <= 5 * np.sqrt(draws * p * (1 - p)))
 
-    def test_layer_graphs_are_symmetric_and_no_union_is_built(self, dataset):
-        seeds = np.flatnonzero(dataset.train_mask)[:5]
-        for rng_seed in range(3):
-            batch, hops = neighbor_sample_with_hops(dataset, seeds, [3, 2, 2], seed=rng_seed)
-            assert batch.graph is None
-            assert batch.num_nodes == batch.global_ids.size
-            for g in hops:
-                assert g.num_nodes == batch.num_nodes
-                dense = to_dense(g)
-                assert np.array_equal(dense, dense.T)
+    def test_unbiased_estimate_of_the_operator_row(self, dataset):
+        fanout, draws = 3, 1000
+        train = np.flatnonzero(dataset.train_mask)
+        u = int(train[np.argmax(dataset.graph.degrees[train])])
+        d = int(dataset.graph.degrees[u])
+        assert d > fanout  # oracle precondition
+        full = dense_sym_norm_self_loops(to_dense(dataset.graph))[u]
+        total = np.zeros(dataset.num_nodes)
+        for rng_seed in range(draws):
+            batch = neighbor_sample(dataset, [u], [fanout], seed=rng_seed)
+            block = batch.layer_blocks[0]
+            row = np.zeros(dataset.num_nodes)
+            row[batch.global_ids[block.indices]] = block.data
+            assert row[u] == full[u]  # the self entry is never scaled
+            total += row
+        # a neighbour entry is full[v] * d / fanout with probability fanout / d,
+        # else 0: mean full[v], variance full[v]^2 (d / fanout - 1); allow 5 sigma
+        sigma = np.abs(full) * np.sqrt((d / fanout - 1.0) / draws)
+        assert np.all(np.abs(total / draws - full) <= 5 * sigma + 1e-15)
 
     @pytest.mark.parametrize("self_loops", [False, True], ids=["plain", "self_loops"])
-    def test_layer_rows_and_blocks_follow_the_layer_graphs(self, dataset, self_loops):
-        if self_loops:  # a stored loop must add up with the operator's own I
+    def test_blocks_are_scaled_operator_rows(self, dataset, self_loops):
+        if self_loops:  # a stored loop, when drawn, must add up with the operator's own I
             dataset.graph = add_self_loops(dataset.graph)
+        dense = to_dense(dataset.graph)
+        degrees = dataset.graph.degrees
         seeds = np.flatnonzero(dataset.train_mask)[3:9]
+        fanouts = [3, 2, 2]
+        loops_drawn = 0
         for rng_seed in range(3):
-            batch, hops = neighbor_sample_with_hops(dataset, seeds, [3, 2, 2], seed=rng_seed)
+            batch = neighbor_sample(dataset, seeds, fanouts, seed=rng_seed)
             assert np.array_equal(batch.loss_rows, np.arange(seeds.size))
             rows = batch.train_local
-            for layer in (2, 1, 0):
-                g = hops[layer]
+            for layer, fanout in zip((2, 1, 0), fanouts):
                 assert np.array_equal(batch.layer_rows[layer], rows)
                 assert np.all(np.diff(rows) > 0)
-                reads = np.union1d(rows, np.concatenate([neighbors(g, int(r)) for r in rows]))
-                dense_op = dense_sym_norm_self_loops(to_dense(g))
+                reads = block_reads(batch, layer)
+                assert list(reads) == batch.global_ids[rows].tolist()
+                picks = {}
+                for u, cols in reads.items():
+                    kept = min(degrees[u], fanout)
+                    # a drawn stored loop merges with the self entry: one column fewer
+                    assert cols.size in (kept, kept + 1) and u in cols
+                    picks[u] = cols if cols.size == kept else cols[cols != u]
+                    assert picks[u].size == kept and np.all(dense[u, picks[u]] == 1.0)
+                    loops_drawn += cols.size == kept
+                oracle = dense_sampled_rows(dense, picks)
                 block = batch.layer_blocks[layer]
-                assert block.shape == (rows.size, reads.size)
+                below = batch.layer_rows[layer - 1] if layer else np.arange(batch.num_nodes)
+                assert block.shape == (rows.size, below.size)
+                assert np.array_equal(np.unique(np.concatenate(list(reads.values()))),
+                                      batch.global_ids[below])  # no column goes unread
                 # entry for entry: each row's nonzero columns in ascending order, exact values
-                for i, r in enumerate(rows):
-                    lo, hi = block.indptr[i], block.indptr[i + 1]
-                    cols = reads[block.indices[lo:hi]]
-                    assert np.array_equal(cols, np.flatnonzero(dense_op[r]))
-                    assert np.array_equal(block.data[lo:hi], dense_op[r, cols])
-                rows = reads
+                for i, (u, cols) in enumerate(reads.items()):
+                    assert np.all(np.diff(cols) > 0)
+                    assert np.array_equal(cols, np.flatnonzero(oracle[u]))
+                    assert np.array_equal(block.data[block.indptr[i] : block.indptr[i + 1]],
+                                          oracle[u, cols])
+                rows = below
             assert np.array_equal(rows, np.arange(batch.num_nodes))  # layer 0 reads every row
-            if self_loops:  # some hop kept a loop, so the merge above was exercised
-                assert any(np.any(np.equal(*g.edge_arrays())) for g in hops)
+        assert (loops_drawn > 0) == self_loops  # the merge above was exercised
 
     def test_unlayered_batches_record_no_rows(self, dataset):
         batch = full_batch(dataset)

@@ -1,6 +1,7 @@
 """Each experiment script runs end to end at one epoch and one seed."""
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +24,15 @@ def test_smoothing_comparison(tmp_path):
     assert sorted(p.name for p in tmp_path.glob("*.json")) == [
         "als_seed0.json", "ls_seed0.json", "plain_seed0.json"]
     assert [line.split()[0] for line in stdout.splitlines()[1:4]] == ["plain", "ls", "als"]
+
+
+def test_smoothing_comparison_takes_config_overrides(tmp_path):
+    stdout = run_script("run_smoothing_comparison.py", "--epochs", "1", "--seeds", "1",
+                        "--set", "sampler.kind=neighbor", "--set", "sampler.seeds_per_batch=16",
+                        "--out-dir", str(tmp_path))
+    assert [line.split()[0] for line in stdout.splitlines()[1:4]] == ["plain", "ls", "als"]
+    config = json.loads((tmp_path / "als_seed0.json").read_text())["config"]
+    assert (config["sampler.kind"], config["sampler.seeds_per_batch"]) == ("neighbor", 16)
 
 
 def test_compare_label_exploitation(tmp_path):
