@@ -18,7 +18,7 @@ from . import harness
 from .data import one_hot, read_edge_list, read_labels, read_matrix_binary, write_matrix_binary
 from .graph import build_csr
 from .metrics import bias_stats
-from .propagation import PropagationConfig, propagate
+from .propagation import check_settings, propagate
 from .reporting import write_csv, write_report
 from .smoothing import RefinementMatrix
 
@@ -39,8 +39,9 @@ def cmd_propagate(args) -> int:
         raise ValueError(f"--num-nodes must be non-negative (0 infers it), got {args.num_nodes}")
     cfg = (harness.build_config(harness.load_config_file(args.config)) if args.config
            else harness.ExperimentConfig())
-    prop = PropagationConfig(cfg.beta if args.beta is None else args.beta,
-                             cfg.k_steps if args.k is None else args.k, args.self_loops or cfg.self_loops)
+    beta = cfg.beta if args.beta is None else args.beta
+    k = cfg.k_steps if args.k is None else args.k
+    check_settings(beta, k)  # before any input file is read
     edges, inferred = read_edge_list(args.graph, args.num_nodes or None)
     nodes, classes = read_labels(args.labels, args.num_nodes or None)
     num_nodes = args.num_nodes or max(inferred, int(nodes.max()) + 1)
@@ -48,7 +49,7 @@ def cmd_propagate(args) -> int:
     graph = build_csr(edges, num_nodes, symmetrize=True)
     y0 = np.zeros((num_nodes, num_classes))
     y0[nodes] = one_hot(classes, num_classes)
-    write_matrix_binary(propagate(graph, y0, prop), args.out)
+    write_matrix_binary(propagate(graph, y0, beta, k, args.self_loops or cfg.self_loops), args.out)
     print(f"wrote propagated labels ({num_nodes} x {num_classes}) to {args.out}")
     return 0
 

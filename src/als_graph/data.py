@@ -27,7 +27,6 @@ from .graph import CsrGraph, build_csr
 
 __all__ = [
     "Dataset",
-    "SbmParams",
     "generate_sbm",
     "load_dataset",
     "save_dataset",
@@ -84,38 +83,6 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class SbmParams:
-    """Planted-partition generator settings; labels equal the planted block."""
-
-    blocks: int = 4
-    nodes_per_block: int = 50
-    p_in: float = 0.2
-    p_out: float = 0.01
-    feature_dim: int = 8
-    feature_noise: float = 1.0
-    train_fraction: float = 0.5
-    val_fraction: float = 0.25
-    seed: int = 0
-
-    def validate(self) -> "SbmParams":
-        if self.blocks <= 0 or self.nodes_per_block <= 0:
-            raise ValueError("blocks and nodes_per_block must be positive")
-        for name in ("p_in", "p_out"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.feature_dim <= 0:
-            raise ValueError("feature_dim must be positive")
-        if self.feature_noise < 0:
-            raise ValueError("feature_noise must be nonnegative")
-        if self.train_fraction < 0 or self.val_fraction < 0:
-            raise ValueError("split fractions must be nonnegative")
-        if self.train_fraction + self.val_fraction > 1.0 + 1e-12:
-            raise ValueError("split fractions must sum to at most 1")
-        return self
-
-
 def _sbm_edges(gen: np.random.Generator, n: int, m: int, p_in: float, p_out: float) -> np.ndarray:
     """Upper-triangle pairs ``u < v`` with ``coin[u, v] < p``, in row-major order.
 
@@ -142,8 +109,10 @@ def _sbm_edges(gen: np.random.Generator, n: int, m: int, p_in: float, p_out: flo
     return np.column_stack((np.concatenate(us), np.concatenate(vs)))
 
 
-def generate_sbm(params: SbmParams) -> Dataset:
-    """Sample a block-model dataset; deterministic given ``params.seed``.
+def generate_sbm(blocks: int = 4, nodes_per_block: int = 50, p_in: float = 0.2,
+                 p_out: float = 0.01, feature_dim: int = 8, feature_noise: float = 1.0,
+                 train_fraction: float = 0.5, val_fraction: float = 0.25, seed: int = 0) -> Dataset:
+    """Sample a planted-partition dataset, labels = planted block; deterministic given ``seed``.
 
     Each node pair is an edge when its uniform draw falls below ``p_in``
     (same block) or ``p_out`` (different blocks). The ``n x n`` draw is made
@@ -155,22 +124,34 @@ def generate_sbm(params: SbmParams) -> Dataset:
     Gaussian noise, and the train/val/test masks are drawn per block at the
     requested fractions (the remainder of each block goes to the test mask).
     """
-    params.validate()
-    gen = rng_streams.stream(params.seed, rng_streams.SBM)
-    b, m = params.blocks, params.nodes_per_block
+    if blocks <= 0 or nodes_per_block <= 0:
+        raise ValueError("blocks and nodes_per_block must be positive")
+    for name, p in (("p_in", p_in), ("p_out", p_out)):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1]")
+    if feature_dim <= 0:
+        raise ValueError("feature_dim must be positive")
+    if feature_noise < 0:
+        raise ValueError("feature_noise must be nonnegative")
+    if train_fraction < 0 or val_fraction < 0:
+        raise ValueError("split fractions must be nonnegative")
+    if train_fraction + val_fraction > 1.0 + 1e-12:
+        raise ValueError("split fractions must sum to at most 1")
+    gen = rng_streams.stream(seed, rng_streams.SBM)
+    b, m = blocks, nodes_per_block
     n = b * m
     labels = np.repeat(np.arange(b, dtype=np.int64), m)
-    graph = build_csr(_sbm_edges(gen, n, m, params.p_in, params.p_out), n, symmetrize=True)
+    graph = build_csr(_sbm_edges(gen, n, m, p_in, p_out), n, symmetrize=True)
 
-    means = np.zeros((b, params.feature_dim))
-    means[np.arange(b), np.arange(b) % params.feature_dim] = 1.0
-    features = means[labels] + params.feature_noise * gen.standard_normal((n, params.feature_dim))
+    means = np.zeros((b, feature_dim))
+    means[np.arange(b), np.arange(b) % feature_dim] = 1.0
+    features = means[labels] + feature_noise * gen.standard_normal((n, feature_dim))
 
     train = np.zeros(n, dtype=bool)
     val = np.zeros(n, dtype=bool)
     test = np.zeros(n, dtype=bool)
-    n_train = int(round(m * params.train_fraction))
-    n_val = min(int(round(m * params.val_fraction)), m - n_train)
+    n_train = int(round(m * train_fraction))
+    n_val = min(int(round(m * val_fraction)), m - n_train)
     for block in range(b):
         perm = block * m + gen.permutation(m)
         train[perm[:n_train]] = True

@@ -25,7 +25,6 @@ import numpy as np
 from . import rng as rng_streams
 from .data import (
     Dataset,
-    SbmParams,
     generate_sbm,
     load_dataset,
     one_hot,
@@ -44,7 +43,7 @@ from .model import (
     init_opt_state,
     sign_precompute,
 )
-from .propagation import PropagationConfig, init_label_matrix, predict_by_propagation, propagate
+from .propagation import init_label_matrix, predict_by_propagation, propagate
 from .reporting import EpochRecord, ExperimentReport, write_csv, write_report
 from .sampling import (
     Batch,
@@ -56,7 +55,6 @@ from .sampling import (
     random_walk_sample,
 )
 from .smoothing import (
-    PacingSchedule,
     RefinementMatrix,
     alpha_at,
     init_refinement,
@@ -169,17 +167,6 @@ class ExperimentConfig:
             raise ValueError(f"train.lr must be positive, got {self.lr}")
         return self
 
-    def pacing_schedule(self) -> PacingSchedule:
-        if self.no_pacing:
-            return PacingSchedule(kind="constant", alpha_const=0.1)
-        return PacingSchedule(self.pacing_kind, self.alpha_const, self.pacing_r,
-                              self.pacing_b, self.alpha_max)
-
-    def sbm_params(self) -> SbmParams:
-        return SbmParams(self.sbm_blocks, self.sbm_nodes_per_block, self.sbm_p_in,
-                         self.sbm_p_out, self.sbm_feature_dim, self.sbm_feature_noise,
-                         self.sbm_train_fraction, self.sbm_val_fraction, self.sbm_seed)
-
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -284,7 +271,9 @@ def parse_sweep_grid(mapping: dict[str, str]) -> dict[str, list]:
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.data_source == "sbm":
-        return generate_sbm(cfg.sbm_params())
+        return generate_sbm(cfg.sbm_blocks, cfg.sbm_nodes_per_block, cfg.sbm_p_in, cfg.sbm_p_out,
+                            cfg.sbm_feature_dim, cfg.sbm_feature_noise, cfg.sbm_train_fraction,
+                            cfg.sbm_val_fraction, cfg.sbm_seed)
     return load_dataset(cfg.data_edges, cfg.data_features, cfg.data_labels, cfg.data_splits)
 
 
@@ -426,8 +415,7 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
 
     yk = None
     if _needs_propagation(cfg):
-        prop_cfg = PropagationConfig(cfg.beta, cfg.k_steps, cfg.self_loops)
-        yk = propagate(dataset.graph, init_label_matrix(dataset), prop_cfg)
+        yk = propagate(dataset.graph, init_label_matrix(dataset), cfg.beta, cfg.k_steps, cfg.self_loops)
 
     feats = dataset.features
     if cfg.label_input:
@@ -448,7 +436,9 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
         values.append(refinement.w)
     state = init_opt_state(values, cfg.lr)
     partition = build_partition(cfg, dataset)
-    schedule = cfg.pacing_schedule()
+    # ablate.no_pacing holds the strength at a constant 0.1
+    pacing = (("constant", 0.1) if cfg.no_pacing
+              else (cfg.pacing_kind, cfg.alpha_const, cfg.pacing_r, cfg.pacing_b, cfg.alpha_max))
     records: list[EpochRecord] = []
     batches: list[Batch] = []
     # With dropout 0, the last eval forward's (logits, cache) until the next
@@ -458,7 +448,7 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(epoch_batches, cfg, dataset, partition, 0)
         for epoch in range(cfg.epochs):
-            alpha = float(alpha_at(schedule, epoch))
+            alpha = float(alpha_at(epoch, *pacing))
             batches = pending.result()  # re-raises a sampler error at its own epoch
             if epoch + 1 < cfg.epochs:
                 pending = pool.submit(epoch_batches, cfg, dataset, partition, epoch + 1)
@@ -546,8 +536,7 @@ def compare_label_exploitation(cfg: ExperimentConfig, out_csv) -> list[dict]:
     nodes (no label mass reached them) as incorrect.
     """
     dataset = build_dataset(cfg)
-    prop_cfg = PropagationConfig(cfg.beta, cfg.k_steps, cfg.self_loops)
-    yk = propagate(dataset.graph, init_label_matrix(dataset), prop_cfg)
+    yk = propagate(dataset.graph, init_label_matrix(dataset), cfg.beta, cfg.k_steps, cfg.self_loops)
     pred, abstain = predict_by_propagation(yk)
     test_ids = np.flatnonzero(dataset.test_mask)
     hits = (pred[test_ids] == dataset.labels[test_ids]) & ~abstain[test_ids]
@@ -658,13 +647,20 @@ def load_checkpoint(directory) -> tuple[ModelParams, RefinementMatrix | None]:
             manifest[key] for key in ("arch", "dropout", "weights", "biases"))
     except KeyError as exc:
         raise ValueError(f"{path}: manifest has no {exc.args[0]!r} key") from None
-    weights = [read_matrix_binary(directory / name) for name in weight_names]
-    biases = [read_matrix_binary(directory / name).ravel() for name in bias_names]
+
+    def read(key: str, name) -> np.ndarray:
+        # each file the manifest names is a plain name inside the directory, never a path out of it
+        if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+            raise ValueError(f"{path}: {key!r} names {name!r}, not a file in the checkpoint directory")
+        return read_matrix_binary(directory / name)
+
+    weights = [read("weights", name) for name in weight_names]
+    biases = [read("biases", name).ravel() for name in bias_names]
     try:
         params = ModelParams(arch, weights, biases, dropout)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     refinement = None
     if manifest.get("refinement"):
-        refinement = RefinementMatrix(read_matrix_binary(directory / manifest["refinement"]))
+        refinement = RefinementMatrix(read("refinement", manifest["refinement"]))
     return params, refinement

@@ -11,39 +11,24 @@ path runs in double precision.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import Dataset
 from .graph import CsrGraph, add_self_loops, normalized_spmm
 
 __all__ = [
-    "PropagationConfig",
     "init_label_matrix",
     "propagate",
     "predict_by_propagation",
 ]
 
 
-@dataclass(frozen=True)
-class PropagationConfig:
-    """Residual strength in [0, 1] and iteration count.
-
-    ``self_loops`` additionally averages each node's own row during the
-    neighbor step; off by default because the residual term already
-    re-injects node-own labels.
-    """
-
-    beta: float
-    num_steps: int
-    self_loops: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        if self.num_steps < 0:
-            raise ValueError("num_steps must be nonnegative")
+def check_settings(beta: float, num_steps: int) -> None:
+    """Reject a residual strength outside [0, 1] or a negative step count."""
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must lie in [0, 1]")
+    if num_steps < 0:
+        raise ValueError("num_steps must be nonnegative")
 
 
 def init_label_matrix(dataset: Dataset) -> np.ndarray:
@@ -54,15 +39,22 @@ def init_label_matrix(dataset: Dataset) -> np.ndarray:
     return y0
 
 
-def propagate(g: CsrGraph, y0: np.ndarray, cfg: PropagationConfig) -> np.ndarray:
-    """Exactly ``cfg.num_steps`` residual propagation steps; K=0 returns ``y0``."""
+def propagate(g: CsrGraph, y0: np.ndarray, beta: float, num_steps: int,
+              self_loops: bool = False) -> np.ndarray:
+    """Exactly ``num_steps`` residual propagation steps; K=0 returns ``y0``.
+
+    ``beta`` is the residual strength in [0, 1]. ``self_loops`` additionally
+    averages each node's own row during the neighbor step; off by default
+    because the residual term already re-injects node-own labels.
+    """
+    check_settings(beta, num_steps)
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 2 or y0.shape[0] != g.num_nodes:
         raise ValueError(f"label matrix has shape {y0.shape}, expected {g.num_nodes} rows")
-    op = add_self_loops(g) if cfg.self_loops else g
+    op = add_self_loops(g) if self_loops else g
     y = y0.copy()
-    for _ in range(cfg.num_steps):
-        y = (1.0 - cfg.beta) * normalized_spmm(op, y, "row_norm") + cfg.beta * y0
+    for _ in range(num_steps):
+        y = (1.0 - beta) * normalized_spmm(op, y, "row_norm") + beta * y0
     return y
 
 

@@ -212,6 +212,8 @@ def random_walk_sample(dataset: Dataset, num_roots: int, walk_length: int,
     """
     if num_roots < 1:
         raise ValueError("need at least one root")
+    if walk_length < 0:
+        raise ValueError(f"walk_length must be nonnegative, got {walk_length}")
     train_ids = np.flatnonzero(dataset.train_mask)
     if train_ids.size == 0:
         raise ValueError("empty train mask")

@@ -16,7 +16,6 @@ import numpy as np
 from .rng import stream
 
 __all__ = [
-    "PacingSchedule",
     "RefinementMatrix",
     "LossBreakdown",
     "alpha_at",
@@ -36,50 +35,37 @@ def refinement_op_count() -> int:
     return _REFINEMENT_MADDS
 
 
-@dataclass(frozen=True)
-class PacingSchedule:
-    """Smoothing-strength schedule over epochs.
+def alpha_at(t: int, kind: str = "constant", alpha_const: float = 0.1, r: float = 0.0,
+             b: float = 0.1, alpha_max: float = 0.1) -> float:
+    """Smoothing strength at epoch ``t`` via the exact closed forms.
 
     * ``constant``:    alpha_const
     * ``linear``:      min(r * t, alpha_max)
     * ``exponential``: min(b * exp(r * t), alpha_max)
 
-    ``r`` may be negative (decaying strength for full-batch regimes); the
-    closed forms are evaluated exactly, and range checks happen where a
-    strength is consumed.
+    ``r`` may be negative (decaying strength for full-batch regimes); range
+    checks on the result happen where a strength is consumed.
     """
-
-    kind: str = "constant"
-    alpha_const: float = 0.1
-    r: float = 0.0
-    b: float = 0.1
-    alpha_max: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("constant", "linear", "exponential"):
-            raise ValueError(f"unknown pacing kind {self.kind!r}")
-        if not 0.0 <= self.alpha_const <= 1.0:
-            raise ValueError("alpha_const must lie in [0, 1]")
-        if not 0.0 <= self.alpha_max <= 1.0:
-            raise ValueError("alpha_max must lie in [0, 1]")
-        if self.b < 0.0:
-            raise ValueError("initial strength b must be nonnegative")
-
-
-def alpha_at(schedule: PacingSchedule, t: int) -> float:
-    """Smoothing strength at epoch ``t`` via the exact closed forms."""
+    if kind not in ("constant", "linear", "exponential"):
+        raise ValueError(f"unknown pacing kind {kind!r}")
+    if not 0.0 <= alpha_const <= 1.0:
+        raise ValueError("alpha_const must lie in [0, 1]")
+    if not 0.0 <= alpha_max <= 1.0:
+        raise ValueError("alpha_max must lie in [0, 1]")
+    if b < 0.0:
+        raise ValueError("initial strength b must be nonnegative")
     if t < 0:
         raise ValueError("epoch index must be nonnegative")
-    if schedule.kind == "constant":
-        return schedule.alpha_const
-    if schedule.kind == "linear":
-        return min(schedule.r * t, schedule.alpha_max)
-    if schedule.b == 0.0:
-        return min(0.0, schedule.alpha_max)
-    exponent = schedule.r * t
+    if kind == "constant":
+        return alpha_const
+    if kind == "linear":
+        return min(r * t, alpha_max)
+    if b == 0.0:
+        return min(0.0, alpha_max)
+    exponent = r * t
     if exponent > 700.0:  # exp overflows; any positive b already exceeds the cap
-        return schedule.alpha_max
-    return min(schedule.b * math.exp(exponent), schedule.alpha_max)
+        return alpha_max
+    return min(b * math.exp(exponent), alpha_max)
 
 
 @dataclass

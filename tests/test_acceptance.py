@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from als_graph.data import SbmParams, generate_sbm, one_hot
+from als_graph.data import generate_sbm, one_hot
 from als_graph.graph import build_csr
 from als_graph.harness import (
     ExperimentConfig,
@@ -26,14 +26,13 @@ from als_graph.harness import (
 from als_graph.metrics import bias_stats
 from als_graph.model import backward, forward, init_model
 from als_graph.propagation import (
-    PropagationConfig,
     init_label_matrix,
     predict_by_propagation,
     propagate,
 )
 from als_graph.reporting import write_report
 from als_graph.sampling import cluster_batches, full_batch, partition_clusters
-from als_graph.smoothing import PacingSchedule, RefinementMatrix, alpha_at, loss_and_grads
+from als_graph.smoothing import RefinementMatrix, alpha_at, loss_and_grads
 
 from conftest import central_diff, random_distribution, random_undirected, rel_err, to_dense
 
@@ -91,7 +90,7 @@ def test_criterion_01_propagation_matches_dense_iteration():
         for _ in range(k):
             expected = (1.0 - beta) * (op @ expected) + beta * y0
 
-        got = propagate(g, y0, PropagationConfig(beta, k))
+        got = propagate(g, y0, beta, k)
         worst = max(worst, float(np.abs(got - expected).max()))
     took = time.perf_counter() - start
     _report(1, "propagation oracle equivalence", worst < 1e-12 and took < 10.0,
@@ -106,15 +105,15 @@ def test_criterion_02_gradient_exactness():
         gen = np.random.default_rng(100 + i)
         mode = modes[i % 3]
         arch = ("gcn", "mlp")[i % 2]
-        dataset = generate_sbm(SbmParams(
+        dataset = generate_sbm(
             blocks=int(gen.integers(2, 4)), nodes_per_block=int(gen.integers(4, 7)),
             p_in=0.5, p_out=0.1, feature_dim=4, feature_noise=1.0,
-            train_fraction=0.5, val_fraction=0.2, seed=int(gen.integers(1000))))
+            train_fraction=0.5, val_fraction=0.2, seed=int(gen.integers(1000)))
         batch = full_batch(dataset)
         c = dataset.num_classes
         params = init_model(arch, [4, 5, c], dropout=0.0, seed=int(gen.integers(1000)))
         w = RefinementMatrix(0.5 * gen.standard_normal((c, c)))
-        yk = propagate(dataset.graph, init_label_matrix(dataset), PropagationConfig(0.3, 2))
+        yk = propagate(dataset.graph, init_label_matrix(dataset), 0.3, 2)
         rows = batch.train_local
         hard = one_hot(dataset.labels[batch.global_ids[rows]], c)
         alpha, gamma = 0.3, 0.7
@@ -195,30 +194,30 @@ def test_criterion_04_pacing_closed_forms():
     saturated = True
     for r in rates:
         for cap in caps:
-            lin = PacingSchedule("linear", r=r, alpha_max=cap)
+            lin = dict(kind="linear", r=r, alpha_max=cap)
             for t in epochs:
-                worst = max(worst, abs(alpha_at(lin, t) - min(r * t, cap)))
+                worst = max(worst, abs(alpha_at(t, **lin) - min(r * t, cap)))
             for b in initials:
-                exp = PacingSchedule("exponential", b=b, r=r, alpha_max=cap)
+                exp = dict(kind="exponential", b=b, r=r, alpha_max=cap)
                 for t in epochs:
                     if r * t > 700.0:
                         # beyond float range the closed form is exact by
                         # saturation: the cap for b > 0, zero for b == 0
-                        saturated &= alpha_at(exp, t) == (cap if b > 0 else 0.0)
+                        saturated &= alpha_at(t, **exp) == (cap if b > 0 else 0.0)
                     else:
-                        worst = max(worst, abs(alpha_at(exp, t) - min(b * math.exp(r * t), cap)))
+                        worst = max(worst, abs(alpha_at(t, **exp) - min(b * math.exp(r * t), cap)))
     _report(4, "pacing closed forms", worst < 1e-15 and saturated,
             f"max diff {worst:.2e}, saturation exact {saturated}")
 
 
 def test_criterion_05_bias_amplification():
     start = time.perf_counter()
-    params = SbmParams(blocks=8, nodes_per_block=250, p_in=0.05, p_out=0.002,
-                       feature_dim=16, feature_noise=1.0,
-                       train_fraction=0.3, val_fraction=0.2, seed=0)
+    params = dict(blocks=8, nodes_per_block=250, p_in=0.05, p_out=0.002,
+                  feature_dim=16, feature_noise=1.0,
+                  train_fraction=0.3, val_fraction=0.2)
     ratios = []
     for seed in range(10):
-        d = generate_sbm(replace(params, seed=seed))
+        d = generate_sbm(**params, seed=seed)
         partition = partition_clusters(d.graph, 8, seed=seed)
         batches = cluster_batches(d, partition, 2, seed=seed)
         clustered_std = float(bias_stats(batches, d).std.mean())
@@ -281,13 +280,13 @@ def test_criterion_08_baseline_coverage(tmp_path):
 
     # propagation-only on pure blocks with one seeded label per block: every
     # node reached within the step budget must be predicted correctly
-    d = generate_sbm(SbmParams(blocks=4, nodes_per_block=30, p_in=0.3, p_out=0.0,
-                               feature_dim=4, train_fraction=0.5, val_fraction=0.0, seed=11))
+    d = generate_sbm(blocks=4, nodes_per_block=30, p_in=0.3, p_out=0.0,
+                     feature_dim=4, train_fraction=0.5, val_fraction=0.0, seed=11)
     train = np.zeros(d.num_nodes, dtype=bool)
     train[np.arange(4) * 30] = True
     d.train_mask, d.val_mask, d.test_mask = train, np.zeros_like(train), ~train
     k = 16
-    yk = propagate(d.graph, init_label_matrix(d), PropagationConfig(0.5, k))
+    yk = propagate(d.graph, init_label_matrix(d), 0.5, k)
     pred, abstain = predict_by_propagation(yk)
 
     dense = to_dense(d.graph)

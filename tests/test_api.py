@@ -1,8 +1,11 @@
-"""The package's public names are its modules' ``__all__`` lists, each name in one."""
+"""The package's public names are its modules' ``__all__`` lists, each name in one, and no
+module imports a name it does not use."""
 from __future__ import annotations
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import als_graph
 
@@ -25,3 +28,26 @@ def test_the_package_list_is_the_module_lists_with_no_name_in_two():
     lists = [importlib.import_module(f"als_graph.{m}").__all__ for m in modules]
     assert als_graph.__all__ == [name for names in lists for name in names]
     assert len(set(als_graph.__all__)) == sum(len(names) for names in lists)
+
+
+def test_no_module_level_import_goes_unused():
+    """An import a module never reads is dead; ``__init__.py`` re-exports, and a
+    ``# noqa`` line keeps a name on purpose (for example for the benchmark's tracer)."""
+    unused = []
+    for path in sorted(Path(als_graph.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read and "# noqa" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno}: {bound}")
+    assert unused == []

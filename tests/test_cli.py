@@ -9,7 +9,7 @@ from als_graph import harness
 from als_graph.cli import main
 from als_graph.data import read_matrix_binary, write_matrix_binary
 from als_graph.graph import build_csr
-from als_graph.propagation import PropagationConfig, propagate
+from als_graph.propagation import propagate
 
 SMALL_CONFIG = """
 sbm.blocks = 3
@@ -73,6 +73,17 @@ def test_train_rejects_checkpoint_dir_with_repeats(tmp_path, config_path, capsys
     assert not out.exists() and not (tmp_path / "ckpt").exists()
 
 
+def test_train_with_repeats_writes_a_summary_over_the_seeds(tmp_path, config_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["train", "--config", str(config_path), "--out", str(out), "train.repeats=2"])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["summary"]["seeds"] == [0, 1]
+    assert doc["final_relevance_path"] is None
+    assert not (tmp_path / "r.relevance.csv").exists()
+    assert "over 2 seed(s)" in capsys.readouterr().out
+
+
 def test_propagate_round_trip(tmp_path):
     (tmp_path / "g.tsv").write_text("0\t1\n1\t2\n")
     (tmp_path / "y.csv").write_text("0,1\n")
@@ -99,9 +110,9 @@ def test_propagate_takes_self_loops_from_the_config(tmp_path):
     g = build_csr(np.array([[0, 1], [1, 2], [2, 3]]), 4, symmetrize=True)
     y0 = np.zeros((4, 2))
     y0[0, 1] = y0[3, 0] = 1.0
-    expected = propagate(g, y0, PropagationConfig(0.3, 3, True))
+    expected = propagate(g, y0, 0.3, 3, True)
     assert np.array_equal(read_matrix_binary(out), expected)
-    assert not np.array_equal(expected, propagate(g, y0, PropagationConfig(0.3, 3, False)))
+    assert not np.array_equal(expected, propagate(g, y0, 0.3, 3, False))
 
 
 @pytest.mark.parametrize("labels, extra, message", [
@@ -117,6 +128,18 @@ def test_propagate_rejects_bad_label_lines(tmp_path, capsys, labels, extra, mess
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError"
     assert err["message"].endswith(message)
+    assert not (tmp_path / "yk.bin").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--beta", "2", "beta must lie in [0, 1]"),
+    ("--k", "-1", "num_steps must be nonnegative"),
+])
+def test_propagate_rejects_bad_settings_before_reading_input(tmp_path, capsys, flag, value, message):
+    code = main(["propagate", "--graph", str(tmp_path / "absent.tsv"), "--labels",
+                 str(tmp_path / "absent.csv"), "--out", str(tmp_path / "yk.bin"), flag, value])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {"error": "ValueError", "message": message}
     assert not (tmp_path / "yk.bin").exists()
 
 

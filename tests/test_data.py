@@ -13,7 +13,6 @@ from als_graph import data
 from als_graph import rng as rng_streams
 from als_graph.data import (
     Dataset,
-    SbmParams,
     generate_sbm,
     load_dataset,
     load_features,
@@ -31,27 +30,31 @@ def scipy_adj(dataset):
     return dataset.graph._scipy
 
 
-def dense_sbm(params: SbmParams) -> Dataset:
-    """The one-shot generator: a dense probability matrix against one (n, n) draw."""
-    gen = rng_streams.stream(params.seed, rng_streams.SBM)
-    b, m = params.blocks, params.nodes_per_block
+def dense_sbm(blocks, nodes_per_block, p_in, p_out, seed, feature_dim=8, feature_noise=1.0,
+              train_fraction=0.5, val_fraction=0.25) -> Dataset:
+    """The one-shot generator: a dense probability matrix against one (n, n) draw.
+
+    The defaults are ``generate_sbm``'s.
+    """
+    gen = rng_streams.stream(seed, rng_streams.SBM)
+    b, m = blocks, nodes_per_block
     n = b * m
     labels = np.repeat(np.arange(b, dtype=np.int64), m)
 
-    prob = np.where(labels[:, None] == labels[None, :], params.p_in, params.p_out)
+    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
     coin = gen.random((n, n))
     edges = np.argwhere(np.triu(coin < prob, k=1))
     graph = build_csr(edges, n, symmetrize=True)
 
-    means = np.zeros((b, params.feature_dim))
-    means[np.arange(b), np.arange(b) % params.feature_dim] = 1.0
-    features = means[labels] + params.feature_noise * gen.standard_normal((n, params.feature_dim))
+    means = np.zeros((b, feature_dim))
+    means[np.arange(b), np.arange(b) % feature_dim] = 1.0
+    features = means[labels] + feature_noise * gen.standard_normal((n, feature_dim))
 
     train = np.zeros(n, dtype=bool)
     val = np.zeros(n, dtype=bool)
     test = np.zeros(n, dtype=bool)
-    n_train = int(round(m * params.train_fraction))
-    n_val = min(int(round(m * params.val_fraction)), m - n_train)
+    n_train = int(round(m * train_fraction))
+    n_val = min(int(round(m * val_fraction)), m - n_train)
     for block in range(b):
         perm = block * m + gen.permutation(m)
         train[perm[:n_train]] = True
@@ -90,15 +93,14 @@ class TestChunkedSbm:
         b, m, p_in, p_out = layout
         if rows is not None:
             monkeypatch.setattr(data, "SBM_CHUNK_BYTES", 8 * b * m * rows)
-        params = SbmParams(blocks=b, nodes_per_block=m, p_in=p_in, p_out=p_out, seed=b * m)
-        assert_same_dataset(generate_sbm(params), dense_sbm(params))
+        params = dict(blocks=b, nodes_per_block=m, p_in=p_in, p_out=p_out, seed=b * m)
+        assert_same_dataset(generate_sbm(**params), dense_sbm(**params))
 
     def test_peak_memory_is_bounded_at_6000_nodes(self):
         # dense_sbm peaks at 684 MB here: two float64 and two bool 6000 x 6000 arrays
-        params = SbmParams(blocks=8, nodes_per_block=750, p_in=0.05, p_out=0.002, seed=1)
         tracemalloc.start()
         try:
-            d = generate_sbm(params)
+            d = generate_sbm(blocks=8, nodes_per_block=750, p_in=0.05, p_out=0.002, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -108,16 +110,16 @@ class TestChunkedSbm:
 
 class TestGenerateSbm:
     def test_disconnected_cliques_limit(self):
-        d = generate_sbm(SbmParams(blocks=2, nodes_per_block=3, p_in=1.0, p_out=0.0,
-                                   feature_dim=2, seed=3))
+        d = generate_sbm(blocks=2, nodes_per_block=3, p_in=1.0, p_out=0.0,
+                         feature_dim=2, seed=3)
         # two disjoint 3-cliques: every node has degree 2, no cross-block edges
         assert d.graph.degrees.tolist() == [2] * 6
         for u in range(3):
             assert all(int(v) < 3 for v in neighbors(d.graph, u))
 
     def test_same_seed_is_byte_identical(self):
-        params = SbmParams(blocks=3, nodes_per_block=8, p_in=0.4, p_out=0.05, seed=11)
-        a, b = generate_sbm(params), generate_sbm(params)
+        params = dict(blocks=3, nodes_per_block=8, p_in=0.4, p_out=0.05, seed=11)
+        a, b = generate_sbm(**params), generate_sbm(**params)
         assert np.array_equal(a.graph.row_offsets, b.graph.row_offsets)
         assert np.array_equal(a.graph.col_indices, b.graph.col_indices)
         assert a.features.tobytes() == b.features.tobytes()
@@ -128,22 +130,21 @@ class TestGenerateSbm:
         pairs = n * (n - 1) / 2
         counts = []
         for seed in range(seeds):
-            d = generate_sbm(SbmParams(blocks=2, nodes_per_block=n // 2, p_in=p, p_out=p, seed=seed))
+            d = generate_sbm(blocks=2, nodes_per_block=n // 2, p_in=p, p_out=p, seed=seed)
             counts.append(d.graph.nnz / 2)
         mean = np.mean(counts)
         sigma_of_mean = np.sqrt(pairs * p * (1 - p) / seeds)
         assert abs(mean - pairs * p) < 4 * sigma_of_mean
 
     def test_zero_p_out_components_are_label_pure(self):
-        d = generate_sbm(SbmParams(blocks=4, nodes_per_block=12, p_in=0.6, p_out=0.0, seed=5))
+        d = generate_sbm(blocks=4, nodes_per_block=12, p_in=0.6, p_out=0.0, seed=5)
         n_comp, comp = connected_components(scipy_adj(d), directed=False)
         for c in range(n_comp):
             labels = np.unique(d.labels[comp == c])
             assert labels.size == 1
 
     def test_mask_sizes_match_fractions_per_block(self):
-        params = SbmParams(blocks=3, nodes_per_block=21, train_fraction=0.3, val_fraction=0.2, seed=2)
-        d = generate_sbm(params)
+        d = generate_sbm(blocks=3, nodes_per_block=21, train_fraction=0.3, val_fraction=0.2, seed=2)
         for block in range(3):
             ids = slice(block * 21, (block + 1) * 21)
             assert abs(d.train_mask[ids].sum() - 21 * 0.3) <= 1
@@ -152,18 +153,18 @@ class TestGenerateSbm:
         assert np.all(d.train_mask | d.val_mask | d.test_mask)
 
     def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            generate_sbm(SbmParams(blocks=0))
-        with pytest.raises(ValueError):
-            generate_sbm(SbmParams(p_in=1.5))
-        with pytest.raises(ValueError):
-            generate_sbm(SbmParams(train_fraction=0.8, val_fraction=0.5))
+        with pytest.raises(ValueError, match="blocks and nodes_per_block must be positive"):
+            generate_sbm(blocks=0)
+        with pytest.raises(ValueError, match=r"p_in must lie in \[0, 1\]"):
+            generate_sbm(p_in=1.5)
+        with pytest.raises(ValueError, match="split fractions must sum to at most 1"):
+            generate_sbm(train_fraction=0.8, val_fraction=0.5)
 
 
 class TestDatasetFiles:
     def test_round_trip_equals_original(self, tmp_path):
-        d = generate_sbm(SbmParams(blocks=3, nodes_per_block=9, p_in=0.5, p_out=0.05,
-                                   feature_dim=5, seed=9))
+        d = generate_sbm(blocks=3, nodes_per_block=9, p_in=0.5, p_out=0.05,
+                         feature_dim=5, seed=9)
         paths = save_dataset(d, tmp_path)
         loaded = load_dataset(paths["edges"], paths["features"], paths["labels"], paths["splits"])
         assert structurally_equal(loaded.graph, d.graph)

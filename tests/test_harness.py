@@ -16,7 +16,8 @@ import pytest
 
 from als_graph import harness
 from als_graph import rng as rng_streams
-from als_graph.data import SbmParams, generate_sbm, save_dataset, write_matrix_binary
+from als_graph import sampling
+from als_graph.data import generate_sbm, save_dataset, write_matrix_binary
 from als_graph.harness import (
     ExperimentConfig,
     apply_overrides,
@@ -38,7 +39,7 @@ from als_graph.harness import (
     save_checkpoint,
 )
 from als_graph.model import adam_step, backward, forward, init_model, init_opt_state
-from als_graph.propagation import PropagationConfig, init_label_matrix, propagate
+from als_graph.propagation import init_label_matrix, propagate
 from als_graph.reporting import load_report, report_to_dict, write_report
 from als_graph.sampling import full_batch
 from als_graph.smoothing import RefinementMatrix, alpha_at, init_refinement
@@ -134,10 +135,23 @@ class TestConfig:
         ("pacing.b", "-1"),
         ("propagation.beta", "2"),
         ("propagation.k", "-1"),
+        ("loss.stop_gradient", "maybe"),
     ])
     def test_bad_model_setting_names_the_key(self, key, value):
         with pytest.raises(ValueError, match=re.escape(key)):
             build_config({key: value})
+
+    @pytest.mark.parametrize("text, overrides, message", [
+        ("ablate.no_propagation = true\nablate.no_refinement = true\n", [],
+         "cannot ablate propagation and refinement together"),
+        ("data.source = files\ndata.edges = e.tsv\ndata.features = x.csv\ndata.labels = y.csv\n",
+         [], "files dataset needs data.splits"),
+        ("train.lr = 0.1\ntrain.epochs 3\n", [], "exp.cfg:2: expected 'key = value', got 'train.epochs 3'"),
+        ("train.lr = 0.1\n", ["train.epochs"], "override 'train.epochs' is not of the form key=value"),
+    ])
+    def test_rejected_config_names_the_problem(self, text, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_config(apply_overrides(parse_config_text(text, origin="exp.cfg"), overrides))
 
     def test_values_parse_by_field_annotation(self):
         cfg = build_config({"loss.gamma": "0", "train.lr": "1", "train.epochs": "3",
@@ -286,6 +300,7 @@ class TestEvaluationForwards:
         pytest.param(dict(sampler_kind="full"), 0.5, id="extra1"),
         pytest.param(dict(num_parts=3, parts_per_batch=3), 0.0, id="extra0-no_dropout"),
         pytest.param(dict(sampler_kind="full"), 0.0, id="extra1-no_dropout"),
+        pytest.param(dict(sampler_kind="full", loss_mode="ls"), 0.0, id="extra1-ls"),
     ])
     def test_whole_graph_batch_reuses_full_logits(self, monkeypatch, extra, dropout):
         calls = self.count_forwards(monkeypatch)
@@ -306,6 +321,19 @@ class TestEvaluationForwards:
         breakdown, _, _ = _batch_loss(cfg, result.dataset, batch, logits, result.soft_labels,
                                       result.refinement, result.report.per_epoch[-1].alpha_t)
         assert result.report.per_epoch[-1].train_loss == breakdown.total
+
+    def test_batch_without_train_nodes_is_skipped(self, monkeypatch):
+        cfg = small_cfg(epochs=3)
+        expected = report_to_dict(run_training(cfg).report)
+        dataset = harness.build_dataset(cfg)
+        unlabeled = sampling._make_batch(dataset, np.flatnonzero(dataset.test_mask))
+        assert unlabeled.train_local.size == 0
+        real = harness.epoch_batches
+        monkeypatch.setattr(harness, "epoch_batches", lambda *args: real(*args) + [unlabeled])
+        calls = self.count_forwards(monkeypatch)
+        result = run_training(cfg)
+        assert report_to_dict(result.report) == expected
+        assert unlabeled.num_nodes not in calls[True]
 
     def test_reuse_ends_at_the_first_adam_step(self, monkeypatch):
         calls = self.count_forwards(monkeypatch)
@@ -408,14 +436,14 @@ def test_file_loaded_run_keeps_its_heap_between_epochs(tmp_path):
 def serial_training(cfg: ExperimentConfig):
     """``run_training``'s loop with each epoch's batches built on this thread.
 
-    Covers the configs ``TestBatchPrefetch`` uses: als loss with propagation
-    and refinement, and dropout above 0 (so no forward is reused). Returns
+    Covers the configs ``TestBatchPrefetch`` uses: als loss with propagation,
+    refinement and pacing, and dropout above 0 (so no forward is reused). Returns
     the per-epoch metrics and the final parameter values.
     """
-    assert cfg.loss_mode == "als" and cfg.dropout > 0
+    assert cfg.loss_mode == "als" and cfg.dropout > 0 and not cfg.no_pacing
     dataset = harness.build_dataset(cfg)
-    yk = propagate(dataset.graph, init_label_matrix(dataset),
-                   PropagationConfig(cfg.beta, cfg.k_steps, cfg.self_loops))
+    yk = propagate(dataset.graph, init_label_matrix(dataset), cfg.beta, cfg.k_steps,
+                   cfg.self_loops)
     feats = dataset.features
     dims = [feats.shape[1]] + [cfg.hidden] * (cfg.depth - 1) + [dataset.num_classes]
     params = init_model(cfg.arch, dims, cfg.dropout,
@@ -427,7 +455,8 @@ def serial_training(cfg: ExperimentConfig):
     partition = harness.build_partition(cfg, dataset)
     records = []
     for epoch in range(cfg.epochs):
-        alpha = float(alpha_at(cfg.pacing_schedule(), epoch))
+        alpha = float(alpha_at(epoch, cfg.pacing_kind, cfg.alpha_const, cfg.pacing_r, cfg.pacing_b,
+                                 cfg.alpha_max))
         batches = epoch_batches(cfg, dataset, partition, epoch)
         for j, batch in enumerate(batches):
             if batch.train_local.size == 0:
@@ -511,8 +540,8 @@ class TestBatchPrefetch:
 
 class TestLabelInput:
     def test_width_and_content(self):
-        d = generate_sbm(SbmParams(blocks=3, nodes_per_block=10, train_fraction=0.3, seed=1))
-        yk = propagate(d.graph, init_label_matrix(d), PropagationConfig(0.2, 2))
+        d = generate_sbm(blocks=3, nodes_per_block=10, train_fraction=0.3, seed=1)
+        yk = propagate(d.graph, init_label_matrix(d), 0.2, 2)
         feats = label_input_features(d, yk)
         width = d.features.shape[1]
         assert feats.shape == (d.num_nodes, width + d.num_classes)
@@ -596,6 +625,29 @@ class TestCheckpoint:
         manifest.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=rf"manifest\.json: manifest has no '{key}' key"):
             load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("key, where", [("weights", "absolute"), ("weights", "parent"),
+                                            ("biases", "subdirectory"), ("refinement", "parent")])
+    def test_weight_file_outside_the_directory_is_rejected(self, tmp_path, key, where):
+        result = run_training(small_cfg(epochs=1))
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(ckpt, result.params, result.refinement, small_cfg(epochs=1))
+        manifest = ckpt / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        name = doc[key] if key == "refinement" else doc[key][0]
+        bad = {"absolute": str(tmp_path / name), "parent": f"../{name}",
+               "subdirectory": f"sub/{name}"}[where]
+        # a valid copy of the file where the manifest now points, so only the name is wrong
+        (ckpt / bad).parent.mkdir(exist_ok=True)
+        (ckpt / bad).write_bytes((ckpt / name).read_bytes())
+        if key == "refinement":
+            doc[key] = bad
+        else:
+            doc[key][0] = bad
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{manifest}: '{key}' names {bad!r}, not a file in the checkpoint directory")):
+            load_checkpoint(ckpt)
 
     def test_mis_sized_bias_file_names_the_layer(self, tmp_path):
         result = run_training(small_cfg(epochs=1))

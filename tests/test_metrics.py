@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from als_graph.data import SbmParams, generate_sbm
+from als_graph.data import generate_sbm
 from als_graph.metrics import batch_class_fraction, bias_stats, confidence_stats
 from als_graph.sampling import Batch, cluster_batches, full_batch, partition_clusters
 
@@ -17,8 +17,8 @@ def batch_of(dataset, nodes):
 
 @pytest.fixture
 def dataset():
-    return generate_sbm(SbmParams(blocks=2, nodes_per_block=20, p_in=0.4, p_out=0.05,
-                                  feature_dim=4, train_fraction=0.5, seed=0))
+    return generate_sbm(blocks=2, nodes_per_block=20, p_in=0.4, p_out=0.05,
+                        feature_dim=4, train_fraction=0.5, seed=0)
 
 
 class TestBatchClassFraction:
@@ -31,8 +31,8 @@ class TestBatchClassFraction:
         assert frac.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_hand_example(self):
-        d = generate_sbm(SbmParams(blocks=2, nodes_per_block=3, p_in=1.0, p_out=1.0,
-                                   train_fraction=1.0, val_fraction=0.0, seed=0))
+        d = generate_sbm(blocks=2, nodes_per_block=3, p_in=1.0, p_out=1.0,
+                         train_fraction=1.0, val_fraction=0.0, seed=0)
         d.labels = np.array([0, 0, 1, 0, 1, 1])
         batch = batch_of(d, [0, 1, 2])
         assert batch_class_fraction(batch, d).tolist() == [2 / 3, 1 / 3]
@@ -71,8 +71,8 @@ class TestBiasStats:
         assert stats.batch_count == 3
 
     def test_two_batch_hand_example(self):
-        d = generate_sbm(SbmParams(blocks=2, nodes_per_block=2, p_in=1.0, p_out=1.0,
-                                   train_fraction=1.0, val_fraction=0.0, seed=0))
+        d = generate_sbm(blocks=2, nodes_per_block=2, p_in=1.0, p_out=1.0,
+                         train_fraction=1.0, val_fraction=0.0, seed=0)
         a = batch_of(d, [0, 1])  # all class 0
         b = batch_of(d, [2, 3])  # all class 1
         stats = bias_stats([a, b], d)
@@ -125,9 +125,9 @@ def test_cluster_batches_amplify_bias_over_random_batches():
     # same sizes are the Monte-Carlo baseline the clustered std must beat
     ratios = []
     for seed in range(10):
-        d = generate_sbm(SbmParams(blocks=4, nodes_per_block=60, p_in=0.15, p_out=0.005,
-                                   feature_dim=4, train_fraction=0.3, val_fraction=0.2,
-                                   seed=seed))
+        d = generate_sbm(blocks=4, nodes_per_block=60, p_in=0.15, p_out=0.005,
+                         feature_dim=4, train_fraction=0.3, val_fraction=0.2,
+                         seed=seed)
         partition = partition_clusters(d.graph, 4, seed=seed)
         batches = cluster_batches(d, partition, 1, seed=seed)
         clustered = bias_stats(batches, d).std.mean()

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from als_graph import harness, model
-from als_graph.data import SbmParams, generate_sbm, one_hot
+from als_graph.data import generate_sbm, one_hot
 from als_graph.graph import _sym_norm_rows, build_csr, induced_subgraph
 from als_graph.model import (
     ModelParams,
@@ -68,8 +68,8 @@ def record_sparse_products(monkeypatch) -> list[int]:
 
 
 def neighbor_dataset():
-    return generate_sbm(SbmParams(blocks=3, nodes_per_block=14, p_in=0.3, p_out=0.03,
-                                  feature_dim=4, train_fraction=0.5, seed=1))
+    return generate_sbm(blocks=3, nodes_per_block=14, p_in=0.3, p_out=0.03,
+                        feature_dim=4, train_fraction=0.5, seed=1)
 
 
 def keep_rule(gen: np.random.Generator, shape, p: float) -> np.ndarray:
@@ -463,8 +463,8 @@ class TestMemoryContract:
         backward releases, with dropout drawn at row height as 32-bit words,
         reads 3.4 and 3.5.
         """
-        d = generate_sbm(SbmParams(blocks=8, nodes_per_block=500, p_in=0.02, p_out=0.001,
-                                   feature_dim=16, seed=0))
+        d = generate_sbm(blocks=8, nodes_per_block=500, p_in=0.02, p_out=0.001,
+                         feature_dim=16, seed=0)
         batch = full_batch(d)
         params = init_model("gcn", [16, 128, 128, 8], dropout=dropout, seed=0)
         forward(params, batch, d.features, train_mode=True, seed=1)  # builds the cached operator
@@ -563,8 +563,8 @@ def test_model_params_validation():
 
 
 def test_training_step_smoke(rng):
-    d = generate_sbm(SbmParams(blocks=3, nodes_per_block=10, p_in=0.5, p_out=0.05,
-                               feature_dim=4, train_fraction=0.5, seed=0))
+    d = generate_sbm(blocks=3, nodes_per_block=10, p_in=0.5, p_out=0.05,
+                     feature_dim=4, train_fraction=0.5, seed=0)
     batch = full_batch(d)
     params = init_model("gcn", [4, 8, 3], dropout=0.0, seed=0)
     values = params.weights + params.biases

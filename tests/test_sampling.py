@@ -9,7 +9,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from als_graph import sampling
-from als_graph.data import SbmParams, generate_sbm, one_hot
+from als_graph.data import generate_sbm, one_hot
 from als_graph.graph import add_self_loops, build_csr
 from als_graph.sampling import (
     Batch,
@@ -33,8 +33,8 @@ from conftest import (
 
 @pytest.fixture
 def dataset():
-    return generate_sbm(SbmParams(blocks=4, nodes_per_block=30, p_in=0.3, p_out=0.02,
-                                  feature_dim=6, train_fraction=0.4, val_fraction=0.2, seed=7))
+    return generate_sbm(blocks=4, nodes_per_block=30, p_in=0.3, p_out=0.02,
+                        feature_dim=6, train_fraction=0.4, val_fraction=0.2, seed=7)
 
 
 class TestPartition:
@@ -61,7 +61,7 @@ class TestPartition:
         assert np.array_equal(a.part_of, b.part_of)
 
     def test_pure_blocks_become_components(self):
-        d = generate_sbm(SbmParams(blocks=4, nodes_per_block=25, p_in=0.4, p_out=0.0, seed=2))
+        d = generate_sbm(blocks=4, nodes_per_block=25, p_in=0.4, p_out=0.0, seed=2)
         n_comp, comp = connected_components(d.graph._scipy, directed=False)
         assert n_comp == 4  # oracle precondition: each block is connected
         for seed in range(5):
@@ -237,8 +237,8 @@ class TestRandomWalk:
         assert batch.global_ids.size <= 5
 
     def test_isolated_root_stays_put(self):
-        d = generate_sbm(SbmParams(blocks=1, nodes_per_block=4, p_in=0.0, p_out=0.0,
-                                   train_fraction=1.0, val_fraction=0.0, seed=0))
+        d = generate_sbm(blocks=1, nodes_per_block=4, p_in=0.0, p_out=0.0,
+                         train_fraction=1.0, val_fraction=0.0, seed=0)
         d.test_mask[:] = False
         batch = random_walk_sample(d, num_roots=1, walk_length=5, seed=2)
         assert batch.global_ids.size == 1
@@ -263,6 +263,14 @@ class TestRandomWalk:
         dataset.train_mask = np.zeros(dataset.num_nodes, dtype=bool)
         with pytest.raises(ValueError, match="train mask"):
             random_walk_sample(dataset, 3, 2, seed=0)
+
+    @pytest.mark.parametrize("num_roots, walk_length, message", [
+        (0, 2, "need at least one root"),
+        (3, -5, "walk_length must be nonnegative, got -5"),
+    ])
+    def test_bad_sizes_rejected(self, dataset, num_roots, walk_length, message):
+        with pytest.raises(ValueError, match=message):
+            random_walk_sample(dataset, num_roots, walk_length, seed=0)
 
 
 class TestNeighborSample:

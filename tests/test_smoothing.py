@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from als_graph.smoothing import (
     LossBreakdown,
-    PacingSchedule,
     RefinementMatrix,
     alpha_at,
     init_refinement,
@@ -28,34 +27,36 @@ from conftest import (
 
 class TestPacing:
     def test_linear_examples(self):
-        sched = PacingSchedule("linear", r=0.01, alpha_max=0.1)
-        assert alpha_at(sched, 5) == pytest.approx(0.05, abs=0)
-        assert alpha_at(sched, 10**6) == 0.1
+        sched = dict(kind="linear", r=0.01, alpha_max=0.1)
+        assert alpha_at(5, **sched) == pytest.approx(0.05, abs=0)
+        assert alpha_at(10**6, **sched) == 0.1
 
     def test_exponential_decay_starts_at_cap(self):
-        sched = PacingSchedule("exponential", b=0.15, r=-0.1, alpha_max=0.1)
-        assert alpha_at(sched, 0) == 0.1  # min(0.15, 0.1)
-        assert alpha_at(sched, 20) == pytest.approx(0.15 * np.exp(-2.0), rel=1e-12)
+        sched = dict(kind="exponential", b=0.15, r=-0.1, alpha_max=0.1)
+        assert alpha_at(0, **sched) == 0.1  # min(0.15, 0.1)
+        assert alpha_at(20, **sched) == pytest.approx(0.15 * np.exp(-2.0), rel=1e-12)
 
     def test_constant(self):
-        assert alpha_at(PacingSchedule("constant", alpha_const=0.07), 123) == 0.07
+        assert alpha_at(123, "constant", alpha_const=0.07) == 0.07
 
     @given(st.floats(0.0, 0.05), st.floats(0.0, 1.0), st.integers(0, 10_000))
     def test_linear_nondecreasing_and_capped(self, r, alpha_max, t):
-        sched = PacingSchedule("linear", r=r, alpha_max=alpha_max)
-        assert alpha_at(sched, t) <= alpha_at(sched, t + 1) <= alpha_max
+        sched = dict(kind="linear", r=r, alpha_max=alpha_max)
+        assert alpha_at(t, **sched) <= alpha_at(t + 1, **sched) <= alpha_max
 
     def test_negative_epoch_rejected(self):
-        with pytest.raises(ValueError):
-            alpha_at(PacingSchedule("linear"), -1)
+        with pytest.raises(ValueError, match="epoch index must be nonnegative"):
+            alpha_at(-1, "linear")
 
     def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            PacingSchedule("linear", alpha_max=1.5)
-        with pytest.raises(ValueError):
-            PacingSchedule("warp")
-        with pytest.raises(ValueError):
-            PacingSchedule("exponential", b=-0.1)
+        with pytest.raises(ValueError, match=r"alpha_max must lie in \[0, 1\]"):
+            alpha_at(0, "linear", alpha_max=1.5)
+        with pytest.raises(ValueError, match=r"alpha_const must lie in \[0, 1\]"):
+            alpha_at(0, "constant", alpha_const=-0.1)
+        with pytest.raises(ValueError, match="unknown pacing kind 'warp'"):
+            alpha_at(0, "warp")
+        with pytest.raises(ValueError, match="initial strength b must be nonnegative"):
+            alpha_at(0, "exponential", b=-0.1)
 
 
 def mixed_target(hard: np.ndarray, **loss_kwargs) -> np.ndarray:
