@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .data import one_hot, read_edge_list, read_labels, read_matrix_binary, write_matrix_binary
+from .data import one_hot, read_edge_list, read_labels, write_matrix_binary
 from .graph import build_csr
 from .metrics import bias_stats
 from .propagation import check_settings, propagate
 from .reporting import write_csv, write_report
-from .smoothing import RefinementMatrix
 
 
 def _load_mapping(args) -> dict[str, str]:
@@ -120,7 +119,7 @@ def cmd_export_relevance(args) -> int:
         if refinement is None:
             raise ValueError(f"checkpoint {path} holds no relevance matrix")
     else:
-        refinement = RefinementMatrix(read_matrix_binary(path))
+        refinement = harness.read_refinement(path)
     harness.export_relevance(refinement, args.out)
     print(f"wrote row-wise softmax of the relevance matrix to {args.out}")
     return 0

@@ -334,18 +334,16 @@ def _batch_loss(cfg: ExperimentConfig, dataset: Dataset, batch: Batch, logits: n
                           mode="als", stop_gradient_yhat=cfg.stop_gradient)
 
 
-def _evaluate_epoch(cfg: ExperimentConfig, dataset: Dataset, feats: np.ndarray,
+def _evaluate_epoch(cfg: ExperimentConfig, dataset: Dataset, batch: Batch, feats: np.ndarray,
                     params: ModelParams, refinement, yk, alpha: float):
-    """Epoch metrics plus the whole-graph eval forward's (logits, cache).
+    """Epoch metrics plus the eval forward's (logits, cache) on the whole-graph ``batch``.
 
     Every metric comes from that one forward: train loss and accuracy are
     those of one whole-graph batch, whatever batches the epoch trained on.
     """
-    batch = full_batch(dataset)
     full_logits, full_cache = forward(params, batch, feats, train_mode=False)
     train_loss, _, _ = _batch_loss(cfg, dataset, batch, full_logits, yk, refinement, alpha)
     hits = full_logits.argmax(axis=1) == dataset.labels
-    probs = softmax_rows(full_logits)
     test_ids = np.flatnonzero(dataset.test_mask)
     test_hard = one_hot(dataset.labels[test_ids], dataset.num_classes)
     test_loss, _, _ = loss_and_grads(full_logits[test_ids], test_hard, mode="plain")
@@ -354,7 +352,8 @@ def _evaluate_epoch(cfg: ExperimentConfig, dataset: Dataset, feats: np.ndarray,
         "train_acc": float(hits[batch.train_local].mean()),
         "test_loss": float(test_loss.total),
         "test_acc": float(hits[test_ids].mean()),
-        "mean_max_prob": confidence_stats(probs[batch.train_local])["mean_max_prob"],
+        "mean_max_prob": confidence_stats(softmax_rows(full_logits[batch.train_local]))[
+            "mean_max_prob"],
     }, (full_logits, full_cache)
 
 
@@ -406,6 +405,12 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
     Only one whole-graph evaluation forward is alive at a time: it is kept
     past its epoch only when dropout is 0, and only until the next training
     forward, which reuses it for a whole-graph batch.
+
+    The run holds one whole-graph ``Batch``, which every evaluation and every
+    whole-graph training step uses, and one read-only feature matrix, so the
+    batch forms layer 0's ``AX`` once (``Batch.first_product``). The first
+    time a GCN trains on the whole graph, the batch's backward is restricted
+    to the train rows' receptive field (``Batch.restrict_backward``).
     """
     _pin_heap_thresholds()
     cfg.validate()
@@ -422,6 +427,8 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
         feats = label_input_features(dataset, yk)
     if cfg.sign_hops > 0:
         feats = sign_precompute(dataset.graph, feats, cfg.sign_hops)
+    feats.setflags(write=False)
+    whole = full_batch(dataset)
 
     dims = [feats.shape[1]] + [cfg.hidden] * (cfg.depth - 1) + [dataset.num_classes]
     params = init_model(cfg.arch, dims, cfg.dropout,
@@ -455,12 +462,17 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
             for j, batch in enumerate(batches):
                 if batch.train_local.size == 0:
                     continue
-                if reusable is not None and batch.graph is dataset.graph:
+                if batch.graph is dataset.graph:  # the same rows as the run's whole batch
+                    batch = whole
+                    if params.arch == "gcn":
+                        whole.restrict_backward(params.depth)
+                if reusable is not None and batch is whole:
                     logits, cache = reusable
                 else:
                     reusable = None  # freed before the forward that replaces it
                     dropout_seed = rng_streams.child_seed(cfg.seed, rng_streams.DROPOUT, epoch, j)
-                    logits, cache = forward(params, batch, feats[batch.global_ids],
+                    logits, cache = forward(params, batch,
+                                            feats if batch is whole else feats[batch.global_ids],
                                             train_mode=True, seed=dropout_seed)
                 reusable = None
                 breakdown, dtrain, dw = _batch_loss(cfg, dataset, batch, logits, yk,
@@ -478,8 +490,8 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
                 except ValueError as exc:
                     raise RuntimeError(f"training diverged at epoch {epoch}: {exc}") from None
             logits = cache = dlogits = dtrain = None  # freed before the eval forward
-            metrics, reusable = _evaluate_epoch(cfg, dataset, feats, params, refinement, yk,
-                                                alpha)
+            metrics, reusable = _evaluate_epoch(cfg, dataset, whole, feats, params, refinement,
+                                                yk, alpha)
             if params.dropout != 0:
                 reusable = None
             records.append(EpochRecord(epoch=epoch, alpha_t=alpha, **metrics))
@@ -647,20 +659,32 @@ def load_checkpoint(directory) -> tuple[ModelParams, RefinementMatrix | None]:
             manifest[key] for key in ("arch", "dropout", "weights", "biases"))
     except KeyError as exc:
         raise ValueError(f"{path}: manifest has no {exc.args[0]!r} key") from None
+    for key, names in (("weights", weight_names), ("biases", bias_names)):
+        if not isinstance(names, list):
+            raise ValueError(f"{path}: {key!r} must be a list of file names, got {names!r}")
 
-    def read(key: str, name) -> np.ndarray:
+    def file(key: str, name) -> Path:
         # each file the manifest names is a plain name inside the directory, never a path out of it
         if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
             raise ValueError(f"{path}: {key!r} names {name!r}, not a file in the checkpoint directory")
-        return read_matrix_binary(directory / name)
+        return directory / name
 
-    weights = [read("weights", name) for name in weight_names]
-    biases = [read("biases", name).ravel() for name in bias_names]
+    weights = [read_matrix_binary(file("weights", name)) for name in weight_names]
+    biases = [read_matrix_binary(file("biases", name)).ravel() for name in bias_names]
     try:
         params = ModelParams(arch, weights, biases, dropout)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     refinement = None
     if manifest.get("refinement"):
-        refinement = RefinementMatrix(read("refinement", manifest["refinement"]))
+        refinement = read_refinement(file("refinement", manifest["refinement"]))
     return params, refinement
+
+
+def read_refinement(path) -> RefinementMatrix:
+    """A relevance matrix from a binary matrix file; an error names the file."""
+    w = read_matrix_binary(path)
+    try:
+        return RefinementMatrix(w)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

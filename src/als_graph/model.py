@@ -8,14 +8,19 @@ that narrows (``fan_out < fan_in``) computes ``A(HW) + b``, every other
 layer ``(AH)W + b``, so each operator product, forward and backward, is
 ``min(fan_in, fan_out)`` columns wide. On a neighbor batch's row blocks each
 layer computes only the rows the next layer reads, and the logits hold the
-loss rows only. The forward keeps only what the backward reads: each
-layer's input, one-byte ReLU gates and dropout keep masks, and the logits.
-Both passes work in place on arrays they allocated, and the backward
-releases each layer's cache entries once that layer's gradients are formed,
-so a cache serves one backward. The optimizer is standard bias-corrected
-adaptive moments, updated in place over a flat list of parameter arrays, and
-the inception-style precompute stacks powers of the normalized adjacency
-applied to the features.
+loss rows only. A whole-graph batch computes every row, which evaluation
+reads; once its backward is restricted (``Batch.restrict_backward``), the
+backward computes only the train rows' receptive field, on the same kind of
+row blocks. The forward keeps only what the backward reads: each layer's
+input, one-byte ReLU gates and dropout keep masks, each at the rows the
+backward reads, and the logits. Layer 0's ``AX`` is formed once per
+read-only feature matrix (``Batch.first_product``). Both passes work in
+place on arrays they allocated, and the backward releases each layer's
+cache entries once that layer's gradients are formed, so a cache serves one
+backward. The optimizer is standard bias-corrected adaptive moments, updated
+in place over a flat list of parameter arrays, and the inception-style
+precompute stacks powers of the normalized adjacency applied to the
+features.
 """
 from __future__ import annotations
 
@@ -85,7 +90,8 @@ class ForwardCache:
 
     Per layer its operator's transpose and cached input; per hidden layer
     its ReLU gate ``z > 0`` and its row-selected dropout keep mask (both
-    ``bool``; the mask is None without dropout); and the logits.
+    ``bool``; the mask is None without dropout); and the logits. Each holds
+    only the rows the backward reads (``Batch.blocks``).
     ``backward`` sets each layer's input, gate and mask to None once that
     layer's gradients are formed, so a cache serves exactly one backward.
     """
@@ -96,6 +102,7 @@ class ForwardCache:
     gates: list[np.ndarray | None]
     dropout_masks: list[np.ndarray | None]
     logits: np.ndarray | None = None
+    logit_rows: np.ndarray | None = None  # the logits rows the backward reads; None: all
 
 
 def _dropout_keep(gen: np.random.Generator, shape: tuple, p: float) -> np.ndarray:
@@ -109,6 +116,10 @@ def _dropout_keep(gen: np.random.Generator, shape: tuple, p: float) -> np.ndarra
     threshold = min(round(p * 2**32), 2**32 - 1)
     words = gen.bit_generator.random_raw(-(-size // 2)).view(np.uint32)
     return words[:size].reshape(shape) >= threshold
+
+
+def _rows(a: np.ndarray | None, rows: np.ndarray | None) -> np.ndarray | None:
+    return a if a is None or rows is None else a[rows]
 
 
 def _projects_first(op, w: np.ndarray) -> bool:
@@ -130,9 +141,14 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
     0 train and eval mode are the same computation.
 
     A GCN layer that narrows computes ``A(HW) + b`` and caches its input
-    ``H``; every other layer computes ``(AH)W + b`` and caches ``AH``. Each
-    layer's bias, ReLU and dropout work in place on the layer's own
-    pre-activation array; ``features`` is never written.
+    ``H``; every other layer computes ``(AH)W + b``, drops ``H`` once ``AH``
+    is formed, and caches ``AH``. Layer 0's ``AX`` comes from
+    ``Batch.first_product``, which forms it once for a read-only ``features``.
+    Each cached array keeps only the rows the batch says its backward reads:
+    on a graph batch after ``Batch.restrict_backward``, the loss rows'
+    receptive field, while every row is still computed. Each layer's bias,
+    ReLU and dropout work in place on the layer's own pre-activation array;
+    ``features`` is never written.
     """
     h = np.asarray(features, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != batch.num_nodes:
@@ -143,30 +159,31 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
     p = params.dropout
     gen = stream(seed) if train_mode and p > 0 else None
     cache = ForwardCache(params, [], [], [], [])
-    ops = batch.blocks(params.depth) if params.arch == "gcn" else ((None, None),) * params.depth
+    ops = batch.blocks(params.depth) if params.arch == "gcn" else ((None,) * 4,) * params.depth
     if params.arch == "mlp" and batch.layer_rows is not None:
         h = h[batch.train_local]  # mlp rows are independent: keep only the loss rows
-    for layer, (w, b, (op, op_t)) in enumerate(zip(params.weights, params.biases, ops)):
+    layers = zip(params.weights, params.biases, ops)
+    for layer, (w, b, (op, op_t, reads, keeps)) in enumerate(layers):
         if _projects_first(op, w):
-            x = h
-            z = op @ (h @ w)
+            x, z = _rows(h, reads), op @ (h @ w)
         else:
-            x = h if op is None else op @ h
-            z = x @ w
+            if op is not None:  # AH replaces H, which is freed before z is formed
+                h = batch.first_product(h) if layer == 0 else op @ h
+            x, z = _rows(h, keeps), h @ w
         z += b
         cache.transposes.append(op_t)
         cache.layer_inputs.append(x)
         if layer == params.depth - 1:
             break
-        cache.gates.append(z > 0)
-        h = np.maximum(z, 0.0, out=z)
+        cache.gates.append(_rows(z > 0, keeps))
+        h, z = np.maximum(z, 0.0, out=z), None  # only h holds it: freed once A h is formed
         keep = None
         if gen is not None:
             keep = _dropout_keep(gen, h.shape, p)
             h *= 1.0 / (1.0 - p)
             h *= keep
-        cache.dropout_masks.append(keep)
-    cache.logits = z
+        cache.dropout_masks.append(_rows(keep, keeps))
+    cache.logits, cache.logit_rows = z, keeps
     return z, cache
 
 
@@ -180,7 +197,9 @@ def backward(params: ModelParams, cache: ForwardCache,
     ``(AH)W + b`` layer takes ``dW = (AH)^T dz`` and ``dH = A^T(dz W^T)``.
     ``A^T`` is the transpose the batch gave with ``A``, so on a layer block
     ``dH`` has the rows of the layer's input. The first layer's ``dH`` is
-    never formed.
+    never formed. Where the cache keeps only some logits rows (a graph batch
+    after ``Batch.restrict_backward``), only those rows of ``dlogits`` are
+    read, and a nonzero entry in any other row raises ``ValueError``.
 
     The pass consumes ``cache``: each layer's input, gate and dropout mask
     are released once its weight gradient is formed, and a second call on
@@ -195,9 +214,13 @@ def backward(params: ModelParams, cache: ForwardCache,
     dlogits = np.asarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache.logits.shape:
         raise ValueError("dlogits shape does not match the cached logits")
+    dh = dlogits
+    if cache.logit_rows is not None:
+        dh = dlogits[cache.logit_rows]
+        if np.count_nonzero(dh) != np.count_nonzero(dlogits):
+            raise ValueError("dlogits is nonzero outside the rows this batch back-propagates")
     wgrads = [np.empty(0)] * params.depth
     bgrads = [np.empty(0)] * params.depth
-    dh = dlogits
     for layer in range(params.depth - 1, -1, -1):
         if layer < params.depth - 1:  # dh is this pass's own array from here on
             if cache.dropout_masks[layer] is not None:

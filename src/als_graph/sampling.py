@@ -41,7 +41,10 @@ class Batch:
     ``train_local`` rows, in that order, and layer ``l``'s block reads the
     ascending rows that layer ``l - 1`` outputs (every batch row at layer 0).
     Each block row estimates that node's row of the whole graph's operator
-    from the neighbours it drew (``neighbor_sample``).
+    from the neighbours it drew (``neighbor_sample``). A graph batch can also
+    carry the same kind of blocks for its backward alone
+    (``restrict_backward``), and keeps layer 0's product with a read-only
+    feature matrix (``first_product``).
     """
 
     global_ids: np.ndarray
@@ -49,6 +52,9 @@ class Batch:
     graph: CsrGraph | None = None
     layer_blocks: tuple[sp.csr_array, ...] | None = None
     layer_rows: tuple[np.ndarray, ...] | None = None
+    # (blocks, rows) from restrict_backward, and (features, A features) from first_product
+    _backward: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _first: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if (self.graph is None) == (not self.layer_blocks):
@@ -63,15 +69,68 @@ class Batch:
         """The rows of ``model.forward``'s logits that line up with ``train_local``."""
         return self.train_local if self.layer_rows is None else np.arange(self.train_local.size)
 
-    def blocks(self, depth: int) -> tuple[tuple[sp.csr_array, sp.sparray], ...]:
-        """Each of ``depth`` layers' operator and its transpose, input side first
-        (a graph's operator is symmetric: its own transpose, a CSR product)."""
-        if self.layer_blocks is None:
-            op = self.graph._sym_norm_op
-            return ((op, op),) * depth
-        if len(self.layer_blocks) != depth:
-            raise ValueError(f"{len(self.layer_blocks)} layer blocks for model depth {depth}")
-        return tuple((block, block.T) for block in self.layer_blocks)
+    def blocks(self, depth: int) -> tuple[tuple, ...]:
+        """Per layer, input side first: its operator A, the A^T its backward
+        applies, and the rows of its input and of its output that the backward
+        reads (None: every row the layer computes). A graph's operator is its
+        own transpose (a CSR product), except where ``restrict_backward`` gave
+        the layer a block."""
+        if self.layer_blocks is not None:
+            if len(self.layer_blocks) != depth:
+                raise ValueError(f"{len(self.layer_blocks)} layer blocks for model depth {depth}")
+            return tuple((block, block.T, None, None) for block in self.layer_blocks)
+        op = self.graph._sym_norm_op
+        if self._backward is None:
+            return ((op, op, None, None),) * depth
+        blocks, rows = self._backward
+        if len(blocks) != depth:
+            raise ValueError(f"{len(blocks)} backward blocks for model depth {depth}")
+        return tuple((op, op if block is op else block.T, rows[layer], rows[layer + 1])
+                     for layer, block in enumerate(blocks))
+
+    def restrict_backward(self, depth: int) -> None:
+        """Let the backward on this graph batch compute only the loss rows' receptive field.
+
+        The last layer's rows are ``train_local``, and each layer down to
+        layer 1 keeps the rows the layer above reads, as its rows of the
+        operator narrowed to the columns they read (``_sym_norm_rows``: the
+        blocks ``neighbor_sample`` builds at full fanout). Layer 0 forms no
+        input gradient, so it back-propagates at full height with the whole
+        operator (layer 1's block keeps every column), as does any layer whose
+        rows are every node. The forward still computes every row and caches
+        only these. Blocks are built on the first call only.
+        """
+        if self.graph is None:
+            raise ValueError("only a graph batch has a backward to restrict")
+        if self._backward is not None:
+            return
+        g, n = self.graph, self.num_nodes
+        op = g._sym_norm_op
+        rows = None if depth == 1 or self.train_local.size == n else self.train_local
+        blocks, layer_rows = [], [rows]
+        for layer in range(depth - 1, -1, -1):  # from the loss rows down to the input
+            block = op
+            if layer and rows is not None:
+                block, rows = _sym_norm_rows(g, rows)
+                if layer == 1 or rows.size == n:  # columns become node ids, and rows all nodes
+                    block = sp.csr_array((block.data, rows[block.indices], block.indptr),
+                                         shape=(block.shape[0], n))
+                    rows = None
+            blocks.insert(0, block)
+            layer_rows.insert(0, rows)
+        self._backward = (tuple(blocks), tuple(layer_rows))
+
+    def first_product(self, x: np.ndarray) -> np.ndarray:
+        """Layer 0's operator times ``x``. The product of a read-only ``x`` is kept,
+        read-only, and returned while that same array comes back, so a run
+        that passes one read-only feature matrix forms A X once."""
+        if self._first is not None and self._first[0] is x:
+            return self._first[1]
+        ax = (self.graph._sym_norm_op if self.graph is not None else self.layer_blocks[0]) @ x
+        if not x.flags.writeable:
+            ax.setflags(write=False)
+            self._first = (x, ax)
+        return ax
 
 
 @dataclass(frozen=True)

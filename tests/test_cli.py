@@ -284,6 +284,26 @@ def test_export_relevance_rejects_manifest_without_weights(tmp_path, config_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["bin", "manifest"])
+def test_export_relevance_names_a_non_square_file(tmp_path, config_path, capsys, source):
+    ckpt = tmp_path / "ckpt"
+    if source == "manifest":
+        main(["train", "--config", str(config_path), "--out", str(tmp_path / "r.json"),
+              "--checkpoint-dir", str(ckpt)])
+        bad = ckpt / json.loads((ckpt / "manifest.json").read_text())["refinement"]
+    else:
+        bad = tmp_path / "w.bin"
+    write_matrix_binary(np.zeros((2, 3)), bad)
+    capsys.readouterr()
+    out = tmp_path / "relevance.csv"
+    code = main(["export-relevance", "--checkpoint", str(ckpt if source == "manifest" else bad),
+                 "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"{bad}: relevance matrix must be square"}
+    assert not out.exists()
+
+
 def test_bad_config_reports_machine_readable_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("loss.mode = warp\n")

@@ -358,15 +358,16 @@ class TestEvaluationForwards:
     def test_unused_forwards_are_freed(self, monkeypatch, extra, dropout):
         """No batch here is the whole graph, so no eval forward outlives its epoch's
         training: it is gone before the next training forward or evaluation. The
-        last training forward is gone before the evaluation."""
+        last training forward is gone before the evaluation. The features and
+        the whole-graph batch's A X (``Batch.first_product``) live for the run."""
         alive: list[weakref.ref] = []  # arrays of the last eval forward
         trained: list[weakref.ref] = []  # arrays of the last training forward
         checks = {"train": 0, "eval": 0}
         real_forward, real_evaluate = harness.forward, harness._evaluate_epoch
 
-        def refs(logits, cache, feats):
+        def refs(logits, cache, *kept):
             arrays = [logits, *cache.layer_inputs, *cache.gates]
-            return [weakref.ref(a) for a in arrays if a is not feats]
+            return [weakref.ref(a) for a in arrays if all(a is not k for k in kept)]
 
         def forward(params, batch, features, train_mode, seed=0):
             if not train_mode:
@@ -377,17 +378,50 @@ class TestEvaluationForwards:
             trained[:] = refs(logits, cache, features)
             return logits, cache
 
-        def evaluate(cfg, dataset, feats, *args):
+        def evaluate(cfg, dataset, batch, feats, *args):
             assert all(ref() is None for ref in alive + trained)
             checks["eval"] += bool(alive)
-            metrics, (logits, cache) = real_evaluate(cfg, dataset, feats, *args)
-            alive[:] = refs(logits, cache, feats)
+            metrics, (logits, cache) = real_evaluate(cfg, dataset, batch, feats, *args)
+            alive[:] = refs(logits, cache, feats, batch.first_product(feats))
             return metrics, (logits, cache)
         monkeypatch.setattr(harness, "forward", forward)
         monkeypatch.setattr(harness, "_evaluate_epoch", evaluate)
         cfg = small_cfg(dropout=dropout, epochs=3, **extra)
         run_training(cfg)
         assert checks["eval"] == cfg.epochs - 1 and checks["train"] >= cfg.epochs - 1
+
+    @pytest.mark.parametrize("extra, restricted", [
+        pytest.param(dict(sampler_kind="neighbor", fanouts=(3, 3), depth=2, seeds_per_batch=8),
+                     False, id="neighbor"),
+        pytest.param(dict(num_parts=3, parts_per_batch=1), False, id="cluster"),
+        pytest.param(dict(sampler_kind="full", arch="mlp"), False, id="full-mlp"),
+        pytest.param(dict(sampler_kind="full"), True, id="full"),
+        pytest.param(dict(num_parts=3, parts_per_batch=3, dropout=0.0), True,
+                     id="whole-cluster-no_dropout"),
+    ])
+    def test_only_whole_graph_gcn_training_restricts_the_backward(self, monkeypatch, extra,
+                                                                  restricted):
+        """The run holds one whole-graph batch, which every evaluation and every
+        whole-graph training forward uses. Its backward is restricted to the
+        train rows' receptive field once a GCN trains on it; a run that never
+        does builds no blocks, and its evaluation forwards cache every row."""
+        seen = []  # (train_mode, batch, the cache's logit rows) of every forward
+        real = harness.forward
+
+        def recording(params, batch, features, train_mode, seed=0):
+            logits, cache = real(params, batch, features, train_mode, seed)
+            seen.append((train_mode, batch, cache.logit_rows))
+            return logits, cache
+        monkeypatch.setattr(harness, "forward", recording)
+        result = run_training(small_cfg(epochs=3, **extra))
+        (whole,) = {id(batch): batch for mode, batch, _ in seen if not mode}.values()
+        assert (whole._backward is not None) == restricted
+        for mode, batch, rows in seen:
+            if mode and batch.graph is result.dataset.graph:
+                assert batch is whole
+            if batch is whole:
+                assert (rows is not None) == restricted
+                assert rows is None or np.array_equal(rows, whole.train_local)
 
     def test_partial_batches_get_one_forward_each(self, monkeypatch):
         calls = self.count_forwards(monkeypatch)
@@ -470,8 +504,8 @@ def serial_training(cfg: ExperimentConfig):
             dlogits[batch.loss_rows] = dtrain
             wgrads, bgrads = backward(params, cache, dlogits)
             adam_step(values, wgrads + bgrads + [dw], state)
-        metrics, _ = harness._evaluate_epoch(cfg, dataset, feats, params, refinement, yk,
-                                             alpha)
+        metrics, _ = harness._evaluate_epoch(cfg, dataset, full_batch(dataset), feats, params,
+                                             refinement, yk, alpha)
         records.append(metrics)
     return records, values
 
@@ -648,6 +682,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(
                 f"{manifest}: '{key}' names {bad!r}, not a file in the checkpoint directory")):
             load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("key", ["weights", "biases"])
+    def test_manifest_file_list_must_be_a_list(self, tmp_path, key):
+        result = run_training(small_cfg(epochs=1))
+        save_checkpoint(tmp_path, result.params, result.refinement, small_cfg(epochs=1))
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc[key] = doc[key][0]  # one name where a list belongs
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{manifest}: '{key}' must be a list of file names, got {doc[key]!r}")):
+            load_checkpoint(tmp_path)
 
     def test_mis_sized_bias_file_names_the_layer(self, tmp_path):
         result = run_training(small_cfg(epochs=1))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,9 @@ from conftest import (
     rel_err,
     to_dense,
 )
+
+
+PROTOCOL_CFG = Path(__file__).resolve().parents[1] / "configs" / "protocol.cfg"
 
 
 def make_batch(n, edges=()):
@@ -401,6 +405,147 @@ class TestBackward:
             backward(other, cache, np.zeros_like(logits))
 
 
+class TestWholeGraphBackward:
+    """A graph batch after ``restrict_backward``: every row forward, and a
+    backward over the loss rows' receptive field only."""
+
+    N = 40
+    # depth 4 restricts hidden layers 1 and 2 and the logits; layer 0 back-propagates
+    # at full height. Widen or square then narrow, and narrow, widen, narrow, narrow.
+    DIMS = [[4, 8, 8, 8, 3], [6, 3, 7, 5, 2], [4, 8, 3], [4, 3]]
+    DIM_IDS = ["widen_square_narrow", "narrow_widen_narrow", "depth2", "depth1"]
+
+    @classmethod
+    def batches(cls, depth: int = 4) -> tuple[Batch, Batch]:
+        """The same sparse graph batch twice, the second restricted; three loss rows."""
+        _, edges = random_undirected(np.random.default_rng(3), cls.N, 0.06)
+        g = build_csr(edges, cls.N, symmetrize=True)
+        train = np.array([3, 17, 30])
+        full, restricted = Batch(np.arange(cls.N), train, g), Batch(np.arange(cls.N), train, g)
+        restricted.restrict_backward(depth)
+        # the rows each layer outputs (None: every row), input side first
+        sizes = [cls.N if r is None else r.size for r in restricted._backward[1][1:]]
+        if depth == 4:
+            assert sizes == [cls.N, 9, 4, 3]  # strict at two hidden layers
+        return full, restricted
+
+    @pytest.mark.parametrize("dims", DIMS, ids=DIM_IDS)
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_gradients_match_the_full_height_backward(self, dims, dropout):
+        full, restricted = self.batches(len(dims) - 1)
+        gen = np.random.default_rng(1)
+        feats = gen.standard_normal((self.N, dims[0]))
+        params = init_model("gcn", dims, dropout=dropout, seed=2)
+        params.biases[:] = [0.1 * gen.standard_normal(b.shape) for b in params.biases]
+        dlogits = np.zeros((self.N, dims[-1]))
+        dlogits[full.train_local] = gen.standard_normal((full.train_local.size, dims[-1]))
+        runs = []
+        for batch in (full, restricted):
+            logits, cache = forward(params, batch, feats, train_mode=True, seed=7)
+            runs.append((logits, *backward(params, cache, dlogits)))
+        (logits_a, wa, ba), (logits_b, wb, bb) = runs
+        assert logits_a.tobytes() == logits_b.tobytes()  # every row, bit for bit
+        for a, b in zip(wa, wb):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+        assert all(np.array_equal(a, b) for a, b in zip(ba, bb))
+
+    @pytest.mark.parametrize("dims", DIMS[:2], ids=DIM_IDS[:2])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_training_path_matches_finite_differences(self, dims, dropout):
+        """The harness's whole-graph step: a read-only feature matrix (A X kept on
+        the batch), the loss on the loss rows, dlogits scattered to them."""
+        _, batch = self.batches(len(dims) - 1)
+        gen = np.random.default_rng(4)
+        feats = gen.standard_normal((self.N, dims[0]))
+        feats.setflags(write=False)
+        hard = one_hot(gen.integers(dims[-1], size=batch.train_local.size), dims[-1])
+        params = init_model("gcn", dims, dropout=dropout, seed=3)
+        params.biases[:] = [0.1 * gen.standard_normal(b.shape) for b in params.biases]
+
+        def total() -> float:
+            logits, _ = forward(params, batch, feats, train_mode=True, seed=11)
+            return loss_and_grads(logits[batch.loss_rows], hard)[0].total
+
+        logits, cache = forward(params, batch, feats, train_mode=True, seed=11)
+        _, dtrain, _ = loss_and_grads(logits[batch.loss_rows], hard)
+        dlogits = np.zeros_like(logits)
+        dlogits[batch.loss_rows] = dtrain
+        wgrads, bgrads = backward(params, cache, dlogits)
+        for analytic, array in zip(wgrads + bgrads, params.weights + params.biases):
+            assert rel_err(analytic, central_diff(total, array)) < 1e-5
+
+    def test_cache_holds_the_receptive_field_rows(self):
+        """The benchmark's ``protocol`` graph at seed 1: 96 loss rows read 1,115
+        rows, which read all 2,000."""
+        cfg = harness.build_config({**harness.load_config_file(PROTOCOL_CFG), "sbm.seed": "1"})
+        d = harness.build_dataset(cfg)
+        hops = [d.train_mask]  # each layer's rows, from the top: the rows within k hops
+        for _ in range(cfg.depth - 1):
+            hops.insert(0, hops[0] | (d.graph._scipy @ hops[0] > 0))
+        assert [int(m.sum()) for m in hops] == [2000, 1115, 96]
+        batch = full_batch(d)
+        batch.restrict_backward(cfg.depth)
+        dims = [d.features.shape[1]] + [cfg.hidden] * (cfg.depth - 1) + [d.num_classes]
+        params = init_model("gcn", dims, dropout=0.5, seed=1)
+        logits, cache = forward(params, batch, d.features, train_mode=True, seed=2)
+        whole, full_cache = forward(params, full_batch(d), d.features, train_mode=True, seed=2)
+        assert logits.tobytes() == whole.tobytes()
+        # A X and the gates at layer 0's rows, A H at layer 1's, and layer 2's input H at
+        # the rows it reads, which are layer 1's
+        assert [x.shape[0] for x in cache.layer_inputs] == [2000, 1115, 1115]
+        for layer, mask in enumerate(hops[:2]):
+            assert np.array_equal(cache.gates[layer], full_cache.gates[layer][mask])
+            assert np.array_equal(cache.dropout_masks[layer], full_cache.dropout_masks[layer][mask])
+        assert np.array_equal(cache.layer_inputs[2], full_cache.layer_inputs[2][hops[1]])
+        assert np.array_equal(cache.logit_rows, np.flatnonzero(hops[2]))
+        assert [op.shape for op in cache.transposes[1:]] == [(2000, 1115), (1115, 96)]
+
+    def test_dlogits_outside_the_loss_rows_are_rejected(self, rng):
+        _, batch = self.batches()
+        params = init_model("gcn", [2, 4, 4, 4, 2], dropout=0.0, seed=0)
+        logits, cache = forward(params, batch, rng.standard_normal((self.N, 2)), train_mode=False)
+        dlogits = np.zeros_like(logits)
+        dlogits[0] = 1.0  # row 0 carries no loss
+        with pytest.raises(ValueError, match="outside the rows"):
+            backward(params, cache, dlogits)
+
+    def test_blocks_are_built_once_and_only_for_a_graph(self):
+        _, batch = self.batches()
+        built = batch._backward
+        batch.restrict_backward(3)
+        assert batch._backward is built
+        with pytest.raises(ValueError, match="depth 3"):
+            batch.blocks(3)
+        with pytest.raises(ValueError, match="only a graph batch"):
+            TestBackward._neighbor_batch().restrict_backward(3)
+
+
+class TestFirstProduct:
+    """A graph batch forms layer 0's A X once for a read-only feature matrix."""
+
+    def test_a_different_feature_matrix_never_reads_the_kept_product(self, monkeypatch):
+        d = neighbor_dataset()
+        batch = full_batch(d)
+        params = init_model("gcn", [4, 8, 3], dropout=0.0, seed=0)  # (AH)W, then A(HW)
+        x = d.features.copy()
+        x.setflags(write=False)
+        first, _ = forward(params, batch, x, train_mode=False)
+        widths = record_sparse_products(monkeypatch)
+        again, _ = forward(params, batch, x, train_mode=False)
+        assert again.tobytes() == first.tobytes()
+        assert widths == [3]  # only layer 1's product: A X was not formed again
+        y = x + 1.0
+        y.setflags(write=False)
+        writeable = x.copy()
+        for other in (y, writeable, writeable):
+            logits, _ = forward(params, batch, other, train_mode=False)
+            fresh, _ = forward(params, full_batch(d), other.copy(), train_mode=False)
+            assert logits.tobytes() == fresh.tobytes()
+            writeable += 1.0  # a writeable matrix may change between forwards
+        assert batch.first_product(y) is batch.first_product(y)
+        assert batch.first_product(writeable) is not batch.first_product(writeable)
+
+
 class TestMemoryContract:
     """The forward keeps only what the backward reads, and the backward consumes it."""
 
@@ -453,29 +598,46 @@ class TestMemoryContract:
         with pytest.raises(ValueError, match="consumed cache"):
             backward(params, cache, np.ones_like(logits))
 
-    @pytest.mark.parametrize("dropout", [0.0, 0.5])
-    def test_training_step_peak_is_under_four_activation_arrays(self, dropout):
-        """One forward and backward on a 4,000-node whole graph, widths 16-128-128-8.
-
-        The traced peak is bounded by 4 n x 128 float64 arrays. Keeping float
-        pre-activations and masks, and a new array per backward step, read 8.4
-        at dropout 0 and 10.4 at dropout 0.5; a cache of bool gates that the
-        backward releases, with dropout drawn at row height as 32-bit words,
-        reads 3.4 and 3.5.
-        """
+    @staticmethod
+    def step_peak(dropout: float, restricted: bool) -> float:
+        """Traced peak of one forward and backward on a 4,000-node whole graph
+        (half its nodes train rows), widths 16-128-128-8, in n x 128 float64 arrays."""
         d = generate_sbm(blocks=8, nodes_per_block=500, p_in=0.02, p_out=0.001,
                          feature_dim=16, seed=0)
         batch = full_batch(d)
+        if restricted:
+            batch.restrict_backward(3)
         params = init_model("gcn", [16, 128, 128, 8], dropout=dropout, seed=0)
         forward(params, batch, d.features, train_mode=True, seed=1)  # builds the cached operator
         tracemalloc.start()
         try:
             logits, cache = forward(params, batch, d.features, train_mode=True, seed=1)
-            backward(params, cache, np.ones_like(logits))
+            dlogits = np.zeros_like(logits)
+            dlogits[batch.loss_rows] = 1.0
+            backward(params, cache, dlogits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * (d.num_nodes * 128 * 8)
+        return peak / (d.num_nodes * 128 * 8)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_training_step_peak_is_under_four_activation_arrays(self, dropout):
+        """The traced peak is bounded by 4 n x 128 float64 arrays. Keeping float
+        pre-activations and masks, and a new array per backward step, read 8.4
+        at dropout 0 and 10.4 at dropout 0.5; a cache of bool gates that the
+        backward releases, with dropout drawn at row height as 32-bit words,
+        read 3.4 and 3.5; freeing each layer's input once ``AH`` is formed
+        reads 2.6 and 3.1.
+        """
+        assert self.step_peak(dropout, restricted=False) <= 4
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_restricted_step_peak_is_under_four_activation_arrays(self, dropout):
+        """With the backward restricted (``Batch.restrict_backward``), the forward
+        copies the rows its cache keeps while the full-height arrays are alive.
+        Here layer 1 keeps 3,996 of the 4,000 rows, the worst case for that
+        copy, and the peak reads 3.5 at dropout 0 and 3.9 at dropout 0.5."""
+        assert self.step_peak(dropout, restricted=True) <= 4
 
 
 class TestAdam:

@@ -450,12 +450,17 @@ class TestNeighborSample:
         with pytest.raises(ValueError, match="either a graph or layer blocks"):
             Batch(ids, train, dataset.graph, batch.layer_blocks, batch.layer_rows)
         blocks = batch.blocks(2)
-        assert all(op is block for (op, _), block in zip(blocks, batch.layer_blocks))
-        assert all(op_t.shape == op.shape[::-1] and (op_t != op.T).nnz == 0 for op, op_t in blocks)
+        assert all(op is block for (op, *_), block in zip(blocks, batch.layer_blocks))
+        assert all(op_t.shape == op.shape[::-1] and (op_t != op.T).nnz == 0
+                   for op, op_t, *_ in blocks)
         with pytest.raises(ValueError, match="depth 3"):
             batch.blocks(3)
         whole = dataset.graph._sym_norm_op  # the graph's operator, as its own transpose
-        assert [a is whole and b is whole for a, b in full_batch(dataset).blocks(3)] == [True] * 3
+        assert [a is whole and b is whole
+                for a, b, *_ in full_batch(dataset).blocks(3)] == [True] * 3
+        # without restrict_backward the backward reads every row either batch computes
+        for b in (batch, full_batch(dataset)):
+            assert [layer[2:] for layer in b.blocks(2)] == [(None, None)] * 2
 
 
 def test_full_batch_covers_graph(dataset):
