@@ -76,7 +76,7 @@ class CsrGraph:
     @cached_property
     def _sym_norm_op(self) -> sp.csr_array:
         """D^-1/2 (A + I) D^-1/2 with D the degrees of A + I: ``_sym_norm_rows`` on every row."""
-        return _sym_norm_rows(self, np.arange(self.num_nodes))[0]
+        return _sym_norm_rows(self, np.arange(self.num_nodes))[0][0]
 
 
 def build_csr(edge_list, num_nodes: int, symmetrize: bool = False) -> CsrGraph:
@@ -157,15 +157,15 @@ def normalized_spmm(g: CsrGraph, m: np.ndarray, mode: str) -> np.ndarray:
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
-def _gather_rows(g: CsrGraph, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The neighbor lists of ``rows``, concatenated in row order.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(s, s + l)`` for each start ``s`` and length ``l``, concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
 
-    Returns (source, neighbor, position within its row) per entry.
-    """
-    starts = g.row_offsets[rows]
-    lengths = g.row_offsets[rows + 1] - starts
-    within = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return np.repeat(rows, lengths), g.col_indices[np.repeat(starts, lengths) + within], within
+
+def _gather_rows(g: CsrGraph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbor lists of ``rows``, concatenated in row order: (source, neighbor) per entry."""
+    lengths = g.degrees[rows]
+    return np.repeat(rows, lengths), g.col_indices[_ranges(g.row_offsets[rows], lengths)]
 
 
 def induced_subgraph(g: CsrGraph, nodes) -> tuple[CsrGraph, np.ndarray]:
@@ -188,7 +188,7 @@ def induced_subgraph(g: CsrGraph, nodes) -> tuple[CsrGraph, np.ndarray]:
     ordered = nodes[local_of]
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("duplicate node in node set")
-    _, nbrs, _ = _gather_rows(g, nodes)
+    _, nbrs = _gather_rows(g, nodes)
     at = np.minimum(np.searchsorted(ordered, nbrs), nodes.size - 1)
     inside = ordered[at] == nbrs
     rows = np.repeat(np.arange(nodes.size), g.degrees[nodes])[inside]
@@ -197,37 +197,71 @@ def induced_subgraph(g: CsrGraph, nodes) -> tuple[CsrGraph, np.ndarray]:
 
 
 def _sym_norm_rows(g: CsrGraph, rows: np.ndarray, nbrs: np.ndarray | None = None,
-                   kept: np.ndarray | None = None) -> tuple[sp.csr_array, np.ndarray]:
-    """Rows ``rows`` of D^-1/2 (A + I) D^-1/2 on ``g``, narrowed to the nodes they read.
+                   kept: np.ndarray | None = None) -> tuple[list[sp.csr_array], np.ndarray]:
+    """Rows of D^-1/2 (A + I) D^-1/2 on ``g``, one block per group of rows,
+    each narrowed to the nodes its group reads.
 
-    Each row reads itself and its neighbours or, given a sample, the
-    ``kept[i]`` neighbours row ``i`` drew (``nbrs``, ascending within each
-    row), its neighbour entries scaled by d_u / kept_u: an unbiased estimate
-    of the row (VR-GCN, arXiv 1710.10568). Returns ``(block, columns)``:
-    ``columns`` lists, ascending, the nodes the rows read, and column ``j`` of
-    ``block`` is node ``columns[j]``. On every row, ``columns`` is every node
-    and ``block`` the whole operator. Each row's entries are in ascending
-    node id, so a row sums in the same order whichever block holds it.
+    ``rows`` are codes ``group * n + node`` (n = ``g.num_nodes``; a node id is
+    a row of group 0), nondecreasing in group. Each row reads itself and its
+    neighbours or, given a sample, the ``kept[i]`` neighbours row ``i`` drew
+    (``nbrs``, ascending within each row), its neighbour entries scaled by
+    d_u / kept_u: an unbiased estimate of the row (VR-GCN, arXiv 1710.10568).
+    Returns ``(blocks, columns)``: ``columns`` lists, ascending, the codes of
+    the nodes each group reads, and group ``c``'s block holds its rows, with
+    column ``j`` its ``j``-th node in ``columns``. On every row, ``columns``
+    is every node and the one block the whole operator. Each row's entries
+    are in ascending node id, so a row sums in the same order whichever
+    block holds it.
     """
+    n = g.num_nodes
+    nodes = rows % n
     if nbrs is None:
-        _, nbrs, _ = _gather_rows(g, rows)
-        kept = g.degrees[rows]
-    src = np.repeat(rows, kept)
-    ends = np.cumsum(kept)
-    starts = ends - kept
-    # the self loop goes after the row's neighbours with smaller ids
+        _, nbrs = _gather_rows(g, nodes)
+        kept = g.degrees[nodes]
+    src = np.repeat(nodes, kept)
+    loops = np.any(nbrs == src)
+    # each row's self entry goes after its neighbours with smaller ids
     below = np.concatenate(([0], np.cumsum(nbrs < src)))
-    at = starts + below[ends] - below[starts]
-    cols = np.insert(nbrs, at, rows)
-    # d_u / kept_u per neighbour entry, 1 on the self entry (exactly 1 for an unsampled row)
-    weight = np.insert(np.repeat(g.degrees[rows] / np.maximum(kept, 1), kept), at, 1.0)
-    scale = 1.0 / np.sqrt(g.degrees + 1.0)
-    data = np.repeat(scale[rows], kept + 1) * scale[cols] * weight
+    ends = np.cumsum(kept)
+    at = ends - kept + below[ends] - below[ends - kept]
+    del src, below
+    cols = np.insert(nbrs, at, nodes)
+    own = at + np.arange(rows.size)  # the self entries' positions
     indptr = np.concatenate(([0], ends + np.arange(1, rows.size + 1)))
-    read = np.zeros(g.num_nodes, dtype=bool)
-    read[cols] = True
-    position = np.cumsum(read) - 1
-    block = sp.csr_array((data, position[cols], indptr), shape=(rows.size, position[-1] + 1))
-    if np.any(nbrs == src):
-        block.sum_duplicates()  # a stored self loop adds up with I, as in A + I
-    return block, np.flatnonzero(read)
+    # row scale times column scale, times d_u / kept_u off the self entry
+    # (exactly 1 for an unsampled row)
+    scale = 1.0 / np.sqrt(g.degrees + 1.0)
+    data = np.repeat(scale[nodes], kept + 1)
+    data *= scale[cols]
+    weight = np.repeat(g.degrees[nodes] / np.maximum(kept, 1), kept + 1)
+    weight[own] = 1.0
+    data *= weight
+    del weight
+    cols += np.repeat(rows - nodes, kept + 1)  # (group, node) codes
+    groups = int(rows[-1]) // n + 1 if rows.size else 1
+    bounds = np.searchsorted(rows, np.arange(groups + 1) * n)
+    # one pass narrows as many groups as fit in max(entries, 2**16) table
+    # cells, so the table stays within the blocks' size on a large graph
+    step = max(1, max(cols.size, 1 << 16) // n)
+    blocks, columns = [], []
+    for first in range(0, groups, step):
+        last = min(first + step, groups)
+        lo = indptr[bounds[first]]
+        codes = cols[lo : indptr[bounds[last]]]
+        codes -= first * n
+        read = np.zeros((last - first, n), dtype=bool)
+        read.ravel()[codes] = True
+        position = np.cumsum(read, axis=1)
+        position -= 1
+        codes[:] = position.ravel()[codes]  # each entry's column in its group's block
+        for c in range(first, last):
+            a, b = indptr[bounds[c]], indptr[bounds[c + 1]]
+            block = sp.csr_array(
+                (data[a:b], cols[a:b], indptr[bounds[c] : bounds[c + 1] + 1] - a),
+                shape=(bounds[c + 1] - bounds[c], position[c - first, -1] + 1))
+            if loops:
+                block.sum_duplicates()  # a stored self loop adds up with I, as in A + I
+            blocks.append(block)
+        columns.append(np.flatnonzero(read))
+        columns[-1] += first * n
+    return blocks, columns[0] if len(columns) == 1 else np.concatenate(columns)

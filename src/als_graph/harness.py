@@ -7,7 +7,10 @@ from two identical runs are byte-identical.
 
 During training one background thread builds the next epoch's batches
 (``epoch_batches``) while the current epoch trains and evaluates; the
-samplers are pure, so reports are the same as a serial loop's.
+samplers are pure, so reports are the same as a serial loop's. The thread
+hides little of the sampling, whose many small numpy calls contend with the
+training thread for the interpreter lock, so samplers keep their call count
+per epoch low.
 """
 from __future__ import annotations
 
@@ -312,8 +315,7 @@ def epoch_batches(cfg: ExperimentConfig, dataset: Dataset,
         train_ids = np.flatnonzero(dataset.train_mask)
         order = rng_streams.stream(sampler_seed, epoch).permutation(train_ids)
         chunks = [order[i : i + cfg.seeds_per_batch] for i in range(0, order.size, cfg.seeds_per_batch)]
-        return [neighbor_sample(dataset, chunk, cfg.fanouts, sampler_seed, epoch, j)
-                for j, chunk in enumerate(chunks)]
+        return neighbor_sample(dataset, chunks, cfg.fanouts, sampler_seed, epoch)
     return [full_batch(dataset)]
 
 
@@ -396,7 +398,10 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
     ``epoch_batches`` for epoch e + 1 while epoch e trains, and never past
     the last epoch. Each epoch's batches are exactly those of a serial loop,
     and a sampler error is raised at the epoch whose batches failed, with
-    its own type and message; no thread outlives the call.
+    its own type and message; no thread outlives the call. The overlap is
+    small: the sampler's Python-level work holds the interpreter lock the
+    training thread needs, so ``neighbor_sample`` builds an epoch's batches
+    in one pass per hop rather than one batch at a time.
 
     The call first pins glibc's mmap threshold to 32 MiB, its trim
     threshold to 64 MiB and its arena count to one for the whole process

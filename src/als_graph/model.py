@@ -122,6 +122,23 @@ def _rows(a: np.ndarray | None, rows: np.ndarray | None) -> np.ndarray | None:
     return a if a is None or rows is None else a[rows]
 
 
+def _keep_rows(a: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """``a[rows]`` for ascending ``rows``, formed in ``a``'s own leading rows.
+
+    Row ``i`` comes from row ``rows[i] >= i``, which no earlier step has
+    overwritten; rows move 128 KiB at a time, and ``a`` is then cut to them,
+    so no second array of ``a``'s height is made. ``a`` must own its data.
+    """
+    if rows is None:
+        return a
+    step = max(1, (128 << 10) // max(a[:1].nbytes, 1))
+    for lo in range(0, rows.size, step):
+        moved = rows[lo : lo + step]
+        a[lo : lo + moved.size] = a[moved]
+    a.resize((rows.size, *a.shape[1:]), refcheck=False)
+    return a
+
+
 def _projects_first(op, w: np.ndarray) -> bool:
     """True when the layer computes A(HW): it aggregates and narrows."""
     return op is not None and w.shape[1] < w.shape[0]
@@ -146,7 +163,9 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
     ``Batch.first_product``, which forms it once for a read-only ``features``.
     Each cached array keeps only the rows the batch says its backward reads:
     on a graph batch after ``Batch.restrict_backward``, the loss rows'
-    receptive field, while every row is still computed. Each layer's bias,
+    receptive field, while every row is still computed; above layer 0 those
+    rows are moved within the layer's own array once ``z`` is formed
+    (``_keep_rows``), not copied out of it. Each layer's bias,
     ReLU and dropout work in place on the layer's own pre-activation array;
     ``features`` is never written.
     """
@@ -165,11 +184,13 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
     layers = zip(params.weights, params.biases, ops)
     for layer, (w, b, (op, op_t, reads, keeps)) in enumerate(layers):
         if _projects_first(op, w):
-            x, z = _rows(h, reads), op @ (h @ w)
+            z, cached = op @ (h @ w), reads
         else:
             if op is not None:  # AH replaces H, which is freed before z is formed
                 h = batch.first_product(h) if layer == 0 else op @ h
-            x, z = _rows(h, keeps), h @ w
+            z, cached = h @ w, keeps
+        # layer 0's input is the caller's or the batch's; every later one is this pass's own
+        x = _rows(h, cached) if layer == 0 else _keep_rows(h, cached)
         z += b
         cache.transposes.append(op_t)
         cache.layer_inputs.append(x)

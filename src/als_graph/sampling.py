@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import Dataset
-from .graph import CsrGraph, _gather_rows, _sym_norm_rows, induced_subgraph
+from .graph import CsrGraph, _gather_rows, _ranges, _sym_norm_rows, induced_subgraph
 from .graph import build_csr  # noqa: F401  read only by bench/tracing.py's TARGETS
 from .rng import stream
 
@@ -41,7 +41,8 @@ class Batch:
     ``train_local`` rows, in that order, and layer ``l``'s block reads the
     ascending rows that layer ``l - 1`` outputs (every batch row at layer 0).
     Each block row estimates that node's row of the whole graph's operator
-    from the neighbours it drew (``neighbor_sample``). A graph batch can also
+    from the neighbours it drew (``neighbor_sample``, which builds an epoch's
+    neighbor batches in one pass). A graph batch can also
     carry the same kind of blocks for its backward alone
     (``restrict_backward``), and keeps layer 0's product with a read-only
     feature matrix (``first_product``).
@@ -52,7 +53,8 @@ class Batch:
     graph: CsrGraph | None = None
     layer_blocks: tuple[sp.csr_array, ...] | None = None
     layer_rows: tuple[np.ndarray, ...] | None = None
-    # (blocks, rows) from restrict_backward, and (features, A features) from first_product
+    # (blocks, rows) from restrict_backward (() where it restricts nothing), and
+    # (features, A features) from first_product
     _backward: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _first: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -80,7 +82,7 @@ class Batch:
                 raise ValueError(f"{len(self.layer_blocks)} layer blocks for model depth {depth}")
             return tuple((block, block.T, None, None) for block in self.layer_blocks)
         op = self.graph._sym_norm_op
-        if self._backward is None:
+        if not self._backward:
             return ((op, op, None, None),) * depth
         blocks, rows = self._backward
         if len(blocks) != depth:
@@ -98,7 +100,10 @@ class Batch:
         input gradient, so it back-propagates at full height with the whole
         operator (layer 1's block keeps every column), as does any layer whose
         rows are every node. The forward still computes every row and caches
-        only these. Blocks are built on the first call only.
+        only these. The backward then copies the loss rows' logit gradients,
+        so nothing is restricted unless the receptive field leaves out at
+        least as many rows as there are loss rows. Blocks are built on the
+        first call only.
         """
         if self.graph is None:
             raise ValueError("only a graph batch has a backward to restrict")
@@ -106,18 +111,19 @@ class Batch:
             return
         g, n = self.graph, self.num_nodes
         op = g._sym_norm_op
-        rows = None if depth == 1 or self.train_local.size == n else self.train_local
-        blocks, layer_rows = [], [rows]
-        for layer in range(depth - 1, -1, -1):  # from the loss rows down to the input
-            block = op
-            if layer and rows is not None:
-                block, rows = _sym_norm_rows(g, rows)
-                if layer == 1 or rows.size == n:  # columns become node ids, and rows all nodes
-                    block = sp.csr_array((block.data, rows[block.indices], block.indptr),
-                                         shape=(block.shape[0], n))
-                    rows = None
-            blocks.insert(0, block)
-            layer_rows.insert(0, rows)
+        blocks, layer_rows = [op] * depth, [None] * (depth + 1)
+        rows = self.train_local
+        self._backward = ()
+        for layer in range(depth - 1, 0, -1):  # from the loss rows down to layer 1
+            (block,), below = _sym_norm_rows(g, rows)
+            if layer == depth - 1 and n - below.size < rows.size:
+                return  # too few rows left out to pay for the copy
+            layer_rows[layer + 1] = rows
+            if layer == 1 or below.size == n:  # columns become node ids, and rows all nodes
+                blocks[layer] = sp.csr_array((block.data, below[block.indices], block.indptr),
+                                             shape=(block.shape[0], n))
+                break
+            blocks[layer], rows = block, below
         self._backward = (tuple(blocks), tuple(layer_rows))
 
     def first_product(self, x: np.ndarray) -> np.ndarray:
@@ -175,7 +181,7 @@ def _bfs_order(g: CsrGraph, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray
     owner[sources] = np.arange(sources.size)
     levels = [frontier := sources]
     while frontier.size:
-        src, nbrs, _ = _gather_rows(g, frontier)
+        src, nbrs = _gather_rows(g, frontier)
         reached = np.sort((nbrs * stride + owner[src])[owner[nbrs] == unreached])
         frontier, via = np.divmod(reached, stride)
         first = np.diff(frontier, prepend=-1) != 0
@@ -291,15 +297,25 @@ def random_walk_sample(dataset: Dataset, num_roots: int, walk_length: int,
     return _make_batch(dataset, np.flatnonzero(visited))
 
 
-def neighbor_sample(dataset: Dataset, seed_nodes, fanouts,
-                    seed: int, epoch: int = 0, batch_index: int = 0) -> Batch:
-    """Layered neighbor expansion around a set of training seeds.
+def neighbor_sample(dataset: Dataset, seed_chunks, fanouts, seed: int, epoch: int = 0,
+                    batch_index: int = 0) -> list[Batch]:
+    """Layered neighbor expansion around sets of training seeds: one batch per chunk.
 
-    At hop ``l`` every node reached so far (the seeds at hop 0) keeps
-    ``min(degree, fanouts[l])`` of its neighbors, drawn uniformly without
-    replacement: each candidate edge of the hop gets one uniform random
-    integer key, and a node keeps the edges with the ``fanouts[l]`` smallest
-    keys in its row. The same inputs give byte-identical batches.
+    Chunk ``j`` of ``seed_chunks`` draws from the stream ``(seed, epoch,
+    batch_index + j)``. At hop ``l`` every node the chunk has reached (its
+    seeds at hop 0) keeps ``min(degree, fanouts[l])`` of its neighbors,
+    drawn uniformly without replacement: each candidate edge of the hop gets
+    one uniform random integer key from the chunk's stream, and a node keeps
+    the edges with the ``fanouts[l]`` smallest keys in its row. So a chunk's
+    batch does not depend on the other chunks (one chunk alone at its own
+    stream index gives the same batch), and the same inputs give
+    byte-identical batches.
+
+    All chunks expand together, one pass per hop: one gather, one sort and
+    one block build (``graph._sym_norm_rows``) over rows keyed by (chunk,
+    node), which is then cut into the chunks' batches. Only the draws and
+    the blocks take a call per chunk, so an epoch's batches cost a few dozen
+    numpy calls where building them one at a time cost that per batch.
 
     Only the seeds carry a loss. Model layer ``depth - 1 - l`` reads hop
     ``l``'s draws directly: its rows are the nodes expanded at hop ``l``, and
@@ -311,40 +327,80 @@ def neighbor_sample(dataset: Dataset, seed_nodes, fanouts,
     with fanouts at or above the maximum degree the seeds' logits equal the
     whole-graph forward's rows to a few ulps.
     """
-    given = np.asarray(seed_nodes, dtype=np.int64).ravel()
-    if given.size == 0:
+    n = dataset.num_nodes
+    chunks = [np.asarray(c, dtype=np.int64).ravel() for c in seed_chunks]
+    if not chunks:
+        return []
+    if min(c.size for c in chunks) == 0:
         raise ValueError("empty seed set")
-    seeds = np.unique(given)
-    if seeds.size != given.size:
-        raise ValueError("duplicate seed node")
-    if seeds.min() < 0 or seeds.max() >= dataset.num_nodes:
+    rows = np.concatenate(chunks)
+    if rows.min() < 0 or rows.max() >= n:
         raise ValueError("seed node out of range")
-    if not dataset.train_mask[seeds].all():
+    # rows are (chunk, node) codes chunk * n + node from here on, ascending:
+    # chunk j's lie in [bounds[j], bounds[j + 1])
+    bounds = np.arange(len(chunks) + 1) * n
+    rows += np.repeat(bounds[:-1], [c.size for c in chunks])
+    rows.sort()
+    if np.any(rows[1:] == rows[:-1]):
+        raise ValueError("duplicate seed node")
+    if not dataset.train_mask[rows % n].all():
         raise ValueError("seed nodes must lie in the train mask")
     fanouts = [int(f) for f in fanouts]
     if any(f < 0 for f in fanouts):
         raise ValueError(f"fanouts must be non-negative, got {fanouts}")
     g = dataset.graph
-    gen = stream(seed, epoch, batch_index)
-    # sort codes are source * span + key, exact in int64; keys come from
+    gens = [stream(seed, epoch, batch_index + j) for j in range(len(chunks))]
+    # sort codes are node * span + key, exact in int64; keys come from
     # span >= 2**63 / num_nodes values, so ties within a row (broken by the
     # sort, not at random) are vanishingly rare
-    span = np.iinfo(np.int64).max // g.num_nodes
+    span = np.iinfo(np.int64).max // n
 
-    rows, layer_rows, blocks = seeds, [], []
+    seeds, layer_rows, blocks = rows, [], []
     for fanout in fanouts:  # hop 0 feeds the last model layer: fill from the top
-        src, nbrs, within = _gather_rows(g, rows)
-        # src is sorted, so sorting by (src, key) keeps every row where it
-        # was: the entry at sorted position i has rank within[i] in its row;
-        # sorting the kept positions puts each row's picks in ascending id
-        kept = np.sort(np.argsort(src * span + gen.integers(span, size=nbrs.size))[within < fanout])
+        nodes = rows % n
+        lengths = g.degrees[nodes]
+        starts = np.cumsum(lengths) - lengths  # each row's first candidate edge, in hop order
+        first = np.searchsorted(rows, bounds)  # each chunk's first row
+        edges = np.append(starts, starts[-1] + lengths[-1])[first]  # and its first candidate
+        counts = np.diff(edges)
+        # a row per chunk of its candidates' sort codes, padded with a code above them all
+        codes = np.full((len(chunks), counts.max()), np.iinfo(np.int64).max)
+        for j, gen in enumerate(gens):
+            chunk = slice(first[j], first[j + 1])
+            codes[j, : counts[j]] = gen.integers(span, size=counts[j])
+            codes[j, : counts[j]] += np.repeat(nodes[chunk] * span, lengths[chunk])
+        order = np.argsort(codes, axis=1)
+        order += edges[:-1, None]  # candidate index in hop order
+        # a row's candidates keep their place in its chunk's sorted row, so its
+        # picks are the first min(degree, fanout) there (from ``at``, an index
+        # into ``order.ravel()``); flagged in a mask, they come out in ascending id
+        taken = np.minimum(lengths, fanout)
+        at = starts + np.repeat(np.arange(len(chunks)) * codes.shape[1] - edges[:-1],
+                                np.diff(first))
+        del codes
+        kept = np.zeros(edges[-1], dtype=bool)
+        kept[order.ravel()[_ranges(at, taken)]] = True
+        del order
+        kept = np.flatnonzero(kept)
+        nbrs = g.col_indices[kept + np.repeat(g.row_offsets[nodes] - starts, taken)]
+        del kept
         layer_rows.insert(0, rows)
         # the columns this hop reads are the rows the next hop expands
-        block, rows = _sym_norm_rows(g, rows, nbrs[kept], np.minimum(g.degrees[rows], fanout))
-        blocks.insert(0, block)
-    # rows now holds every batch node, ascending
-    return Batch(rows, np.searchsorted(rows, seeds), layer_blocks=tuple(blocks),
-                 layer_rows=tuple(np.searchsorted(rows, r) for r in layer_rows))
+        hop_blocks, rows = _sym_norm_rows(g, rows, nbrs, taken)
+        blocks.insert(0, hop_blocks)
+    # rows now holds every batch node of every chunk, ascending
+    first = np.searchsorted(rows, bounds)
+
+    def cut(codes):  # each chunk's positions among its batch nodes
+        local = np.searchsorted(rows, codes) - first[codes // n]
+        return np.split(local, np.searchsorted(codes, bounds[1:-1]))
+
+    ids = np.split(rows % n, first[1:-1])
+    train_local = cut(seeds)
+    rows_per_layer = [cut(r) for r in layer_rows]
+    return [Batch(ids[j], train_local[j], layer_blocks=tuple(b[j] for b in blocks),
+                  layer_rows=tuple(r[j] for r in rows_per_layer))
+            for j in range(len(chunks))]
 
 
 def full_batch(dataset: Dataset) -> Batch:

@@ -49,3 +49,15 @@ def test_traced_neighbor_run_reports_what_an_untraced_run_does():
     assert snapshots[0]["graph.spmm.calls"] > 0
     assert snapshots[0]["sampling.batches.count"] == 8  # 200 seeds in 64-seed batches, 2 epochs
     assert harness.forward is model.forward  # instrumentation was undone
+
+
+def test_traced_neighbor_run_records_one_sampling_span_per_epoch():
+    """The neighbor sampler builds an epoch's batches in one call, under the name
+    the tracer wraps (``harness.neighbor_sample``). Renamed, its time would move
+    into ``harness.self_s`` without any error."""
+    mapping = {**workloads.config_mapping("neighbor", 3, {}), "train.epochs": "2"}
+    tracer = tracing.Tracer()
+    worker.timed_run(harness.build_config(mapping), tracer)
+    names = [span[1] for span in tracer.spans]
+    assert names.count("harness.epoch_batches") == 2
+    assert names.count("sampling.batches") == 2

@@ -221,20 +221,40 @@ class TestSymNormRows:
         g = build_csr(edges, 60, symmetrize=True)
         g = add_self_loops(g) if looped else g
         rows = np.sort(gen.choice(60, size=25, replace=False))
-        default, cols = _sym_norm_rows(g, rows)
-        _, nbrs, _ = _gather_rows(g, rows)
-        given, given_cols = _sym_norm_rows(g, rows, nbrs, g.degrees[rows])
+        (default,), cols = _sym_norm_rows(g, rows)
+        _, nbrs = _gather_rows(g, rows)
+        (given,), given_cols = _sym_norm_rows(g, rows, nbrs, g.degrees[rows])
         assert np.array_equal(cols, given_cols)
         for a, b in ((default, given), (given, g._sym_norm_op[rows][:, cols])):
             assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
             assert a.data.tobytes() == b.data.tobytes()
+
+    def test_each_group_gets_the_block_its_rows_give_alone(self):
+        """Rows keyed ``group * n + node`` give each group the block and columns
+        its rows give alone. At 70,000 nodes the column table narrows one
+        group per pass."""
+        n = 70_000
+        gen = np.random.default_rng(5)
+        g = build_csr(gen.integers(n, size=(3 * n, 2)), n, symmetrize=True)
+        picks = [np.sort(gen.choice(n, size=40, replace=False)) for _ in range(3)]
+        picks[1][:20] = picks[0][:20]  # groups may share nodes
+        picks[1].sort()
+        blocks, cols = _sym_norm_rows(g, np.concatenate([p + j * n for j, p in enumerate(picks)]))
+        assert len(blocks) == 3
+        for j, (p, block) in enumerate(zip(picks, blocks)):
+            (alone,), alone_cols = _sym_norm_rows(g, p)
+            assert np.array_equal(cols[cols // n == j] - j * n, alone_cols)
+            assert block.shape == alone.shape
+            for x, y in ((block.indptr, alone.indptr), (block.indices, alone.indices),
+                         (block.data, alone.data)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     def test_a_row_that_keeps_no_neighbour_reads_itself_alone(self):
         g = build_csr([(0, 1), (1, 2)], 4, symmetrize=True)  # node 3 has degree 0
         expected = np.diag(dense_sym_norm_self_loops(to_dense(g)))
         assert np.allclose(expected, 1.0 / (g.degrees + 1.0), rtol=1e-15, atol=0.0)
         rows, none = np.array([1, 3]), np.zeros(0, dtype=np.int64)
-        for block, cols in (_sym_norm_rows(g, rows, none, np.zeros(2, dtype=np.int64)),
+        for (block,), cols in (_sym_norm_rows(g, rows, none, np.zeros(2, dtype=np.int64)),
                             _sym_norm_rows(g, np.array([3]))):
             assert np.array_equal(cols, rows[-block.shape[0]:])
             assert np.array_equal(block.toarray(), np.diag(expected[cols]))

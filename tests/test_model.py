@@ -54,7 +54,7 @@ def layered_batch(n, train_local, layer_graphs):
     rows, layer_rows, blocks = train_local, [], []
     for g in reversed(layer_graphs):
         layer_rows.append(rows)
-        block, rows = _sym_norm_rows(g, rows)
+        (block,), rows = _sym_norm_rows(g, rows)
         blocks.append(block)
     return Batch(np.arange(n), train_local, layer_blocks=tuple(reversed(blocks)),
                  layer_rows=tuple(reversed(layer_rows)))
@@ -301,7 +301,7 @@ class TestBackward:
     @staticmethod
     def _neighbor_batch(dataset=None):
         d = neighbor_dataset() if dataset is None else dataset
-        batch = neighbor_sample(d, np.flatnonzero(d.train_mask)[:4], [2, 2, 2], seed=2)
+        batch = neighbor_sample(d, [np.flatnonzero(d.train_mask)[:4]], [2, 2, 2], seed=2)[0]
         sizes = [r.size for r in batch.layer_rows]
         assert sizes[2] < sizes[1] < sizes[0] < batch.num_nodes  # the restriction is exercised
         return batch
@@ -338,7 +338,7 @@ class TestBackward:
         fanout = 10**6
         assert fanout >= d.graph.degrees.max()
         seeds = np.flatnonzero(d.train_mask)[:64]
-        batch = neighbor_sample(d, seeds, [fanout] * cfg.depth, seed=3)
+        batch = neighbor_sample(d, [seeds], [fanout] * cfg.depth, seed=3)[0]
         dims = [d.features.shape[1]] + [cfg.hidden] * (cfg.depth - 1) + [d.num_classes]
         params = init_model("gcn", dims, dropout=0.0, seed=3)
         logits, _ = forward(params, batch, d.features[batch.global_ids], train_mode=False)
@@ -509,6 +509,16 @@ class TestWholeGraphBackward:
         with pytest.raises(ValueError, match="outside the rows"):
             backward(params, cache, dlogits)
 
+    def test_no_restriction_where_too_few_rows_are_left_out(self):
+        """Half the rows carry a loss, and their receptive field leaves out fewer
+        rows than that: the backward would copy more than it saves."""
+        _, edges = random_undirected(np.random.default_rng(3), self.N, 0.06)
+        g = build_csr(edges, self.N, symmetrize=True)
+        batch = Batch(np.arange(self.N), np.arange(0, self.N, 2), g)
+        batch.restrict_backward(3)
+        op = g._sym_norm_op
+        assert batch.blocks(3) == ((op, op, None, None),) * 3
+
     def test_blocks_are_built_once_and_only_for_a_graph(self):
         _, batch = self.batches()
         built = batch._backward
@@ -599,11 +609,12 @@ class TestMemoryContract:
             backward(params, cache, np.ones_like(logits))
 
     @staticmethod
-    def step_peak(dropout: float, restricted: bool) -> float:
+    def step_peak(dropout: float, restricted: bool, train_fraction: float = 0.5) -> float:
         """Traced peak of one forward and backward on a 4,000-node whole graph
-        (half its nodes train rows), widths 16-128-128-8, in n x 128 float64 arrays."""
+        (by default half its nodes train rows), widths 16-128-128-8, in n x 128
+        float64 arrays."""
         d = generate_sbm(blocks=8, nodes_per_block=500, p_in=0.02, p_out=0.001,
-                         feature_dim=16, seed=0)
+                         feature_dim=16, train_fraction=train_fraction, seed=0)
         batch = full_batch(d)
         if restricted:
             batch.restrict_backward(3)
@@ -633,11 +644,25 @@ class TestMemoryContract:
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_restricted_step_peak_is_under_four_activation_arrays(self, dropout):
-        """With the backward restricted (``Batch.restrict_backward``), the forward
-        copies the rows its cache keeps while the full-height arrays are alive.
-        Here layer 1 keeps 3,996 of the 4,000 rows, the worst case for that
-        copy, and the peak reads 3.5 at dropout 0 and 3.9 at dropout 0.5."""
-        assert self.step_peak(dropout, restricted=True) <= 4
+        """Restricting the backward (``Batch.restrict_backward``) never raises the
+        peak. Here the 2,000 loss rows read 3,996 of the 4,000 rows. Restricting
+        them anyway, with the forward copying the kept rows while the
+        full-height arrays were alive, read 3.5 and 3.9 against 2.6 and 3.1;
+        with the rows moved within the layer's own array it still read 2.59
+        at dropout 0, from the backward's copy of the loss rows' gradients,
+        so such a batch is no longer restricted. The thousandth of an array
+        (4 KiB) allows for the interpreter's own allocations, which differ by
+        up to about a kilobyte from call to call."""
+        restricted = self.step_peak(dropout, restricted=True)
+        assert restricted <= self.step_peak(dropout, restricted=False) + 1e-3
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_restricting_few_loss_rows_lowers_the_step_peak(self, dropout):
+        """200 loss rows read 2,126 of the 4,000 rows. The restricted step peaks
+        at 2.28 and 2.60 arrays, against 2.57 and 3.13 unrestricted; copying
+        the kept rows in the forward read 2.97 and 3.10."""
+        restricted = self.step_peak(dropout, restricted=True, train_fraction=0.05)
+        assert restricted <= self.step_peak(dropout, restricted=False, train_fraction=0.05) - 0.2
 
 
 class TestAdam:

@@ -277,7 +277,7 @@ class TestNeighborSample:
     def test_full_fanout_gives_hop_ball(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:3]
         max_deg = int(dataset.graph.degrees.max())
-        batch = neighbor_sample(dataset, seeds, [max_deg, max_deg], seed=0)
+        batch = neighbor_sample(dataset, [seeds], [max_deg, max_deg], seed=0)[0]
         dense = to_dense(dataset.graph)
         ball = np.zeros(dataset.num_nodes, dtype=bool)
         ball[seeds] = True
@@ -287,7 +287,7 @@ class TestNeighborSample:
 
     def test_zero_fanouts_keep_only_seeds(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:4]
-        batch = neighbor_sample(dataset, seeds, [0, 0], seed=0)
+        batch = neighbor_sample(dataset, [seeds], [0, 0], seed=0)[0]
         assert np.array_equal(np.sort(batch.global_ids), np.sort(seeds))
         # each block is the seeds' diagonal of the whole-graph operator, 1 / (d_u + 1)
         diagonal = np.diag(dense_sym_norm_self_loops(to_dense(dataset.graph)))[batch.global_ids]
@@ -298,7 +298,7 @@ class TestNeighborSample:
 
     def test_sampled_edges_exist_in_original(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:5]
-        batch = neighbor_sample(dataset, seeds, [3, 2, 2], seed=1)
+        batch = neighbor_sample(dataset, [seeds], [3, 2, 2], seed=1)[0]
         dense = to_dense(dataset.graph)
         for layer in range(3):
             for u, reads in block_reads(batch, layer).items():
@@ -307,21 +307,21 @@ class TestNeighborSample:
 
     def test_train_local_is_exactly_the_seeds(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[2:7]
-        batch = neighbor_sample(dataset, seeds, [2, 2], seed=3)
+        batch = neighbor_sample(dataset, [seeds], [2, 2], seed=3)[0]
         assert np.array_equal(np.sort(batch.global_ids[batch.train_local]), np.sort(seeds))
 
     def test_one_layer_graph_per_fanout(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:2]
         for rng_seed in range(3):
-            batch = neighbor_sample(dataset, seeds, [2, 3, 1], seed=rng_seed)
+            batch = neighbor_sample(dataset, [seeds], [2, 3, 1], seed=rng_seed)[0]
             assert len(batch.layer_blocks) == len(batch.layer_rows) == 3
             assert batch.graph is None  # no union graph is built
             assert batch.num_nodes == batch.global_ids.size
 
     def test_deterministic(self, dataset):
         seeds = np.flatnonzero(dataset.train_mask)[:4]
-        a = neighbor_sample(dataset, seeds, [3, 2], seed=6, epoch=2, batch_index=1)
-        b = neighbor_sample(dataset, seeds, [3, 2], seed=6, epoch=2, batch_index=1)
+        a = neighbor_sample(dataset, [seeds], [3, 2], seed=6, epoch=2, batch_index=1)[0]
+        b = neighbor_sample(dataset, [seeds], [3, 2], seed=6, epoch=2, batch_index=1)[0]
         assert np.array_equal(a.global_ids, b.global_ids)
         assert np.array_equal(a.train_local, b.train_local)
         assert len(a.layer_blocks) == len(b.layer_blocks) == 2
@@ -334,7 +334,7 @@ class TestNeighborSample:
         seeds = np.flatnonzero(dataset.train_mask)[:6]
         degrees = dataset.graph.degrees
         for fanout in (0, 2, int(degrees.max())):
-            batch = neighbor_sample(dataset, seeds, [fanout], seed=5)
+            batch = neighbor_sample(dataset, [seeds], [fanout], seed=5)[0]
             reads = block_reads(batch, 0)
             assert sorted(reads) == sorted(seeds.tolist())
             # each row holds itself plus exactly min(d_u, fanout) drawn neighbours, ascending
@@ -344,15 +344,15 @@ class TestNeighborSample:
 
     def test_errors(self, dataset):
         with pytest.raises(ValueError, match="empty"):
-            neighbor_sample(dataset, [], [2], seed=0)
+            neighbor_sample(dataset, [[]], [2], seed=0)
         test_node = int(np.flatnonzero(dataset.test_mask)[0])
         with pytest.raises(ValueError, match="train mask"):
-            neighbor_sample(dataset, [test_node], [2], seed=0)
+            neighbor_sample(dataset, [[test_node]], [2], seed=0)
         train = np.flatnonzero(dataset.train_mask)[:1]
         with pytest.raises(ValueError, match="duplicate"):
-            neighbor_sample(dataset, [train[0], train[0]], [2], seed=0)
+            neighbor_sample(dataset, [[train[0], train[0]]], [2], seed=0)
         with pytest.raises(ValueError, match="non-negative"):
-            neighbor_sample(dataset, train, [2, -1], seed=0)
+            neighbor_sample(dataset, [train], [2, -1], seed=0)
 
     def test_uniform_without_replacement(self, dataset):
         fanout, draws = 3, 2000
@@ -363,7 +363,7 @@ class TestNeighborSample:
         assert d > fanout  # oracle precondition
         picks = np.zeros(dataset.num_nodes, dtype=np.int64)
         for rng_seed in range(draws):
-            reads = block_reads(neighbor_sample(dataset, [seed_node], [fanout], seed=rng_seed), 0)
+            reads = block_reads(neighbor_sample(dataset, [[seed_node]], [fanout], seed=rng_seed)[0], 0)
             chosen = reads[seed_node][reads[seed_node] != seed_node]
             assert chosen.size == fanout  # distinct: a CSR row holds each column once
             assert np.isin(chosen, nbrs).all()
@@ -382,7 +382,7 @@ class TestNeighborSample:
         full = dense_sym_norm_self_loops(to_dense(dataset.graph))[u]
         total = np.zeros(dataset.num_nodes)
         for rng_seed in range(draws):
-            batch = neighbor_sample(dataset, [u], [fanout], seed=rng_seed)
+            batch = neighbor_sample(dataset, [[u]], [fanout], seed=rng_seed)[0]
             block = batch.layer_blocks[0]
             row = np.zeros(dataset.num_nodes)
             row[batch.global_ids[block.indices]] = block.data
@@ -403,7 +403,7 @@ class TestNeighborSample:
         fanouts = [3, 2, 2]
         loops_drawn = 0
         for rng_seed in range(3):
-            batch = neighbor_sample(dataset, seeds, fanouts, seed=rng_seed)
+            batch = neighbor_sample(dataset, [seeds], fanouts, seed=rng_seed)[0]
             assert np.array_equal(batch.loss_rows, np.arange(seeds.size))
             rows = batch.train_local
             for layer, fanout in zip((2, 1, 0), fanouts):
@@ -435,13 +435,39 @@ class TestNeighborSample:
             assert np.array_equal(rows, np.arange(batch.num_nodes))  # layer 0 reads every row
         assert (loops_drawn > 0) == self_loops  # the merge above was exercised
 
+    @pytest.mark.parametrize("self_loops", [False, True], ids=["plain", "self_loops"])
+    def test_chunks_built_together_equal_each_chunk_built_alone(self, dataset, self_loops):
+        """One pass over several chunks gives, array for array, the batch each
+        chunk gives alone at its own stream index: chunks of uneven size whose
+        reach overlaps, at fanouts 0, 3 and the maximum degree. An epoch with
+        no chunk has no batch."""
+        if self_loops:  # every node stores a loop, so fanouts above 0 draw some of them
+            dataset.graph = add_self_loops(dataset.graph)
+        train = np.random.default_rng(4).permutation(np.flatnonzero(dataset.train_mask))
+        chunks = [train[:7], train[7:19], train[19:20], train[20:31]]
+        assert neighbor_sample(dataset, [], [3, 3, 3], seed=8) == []  # no chunk, no batch
+        for fanout in (0, 3, int(dataset.graph.degrees.max())):
+            together = neighbor_sample(dataset, chunks, [fanout] * 3, seed=8, epoch=3, batch_index=2)
+            assert len(together) == len(chunks)
+            for j, (chunk, batch) in enumerate(zip(chunks, together)):
+                alone, = neighbor_sample(dataset, [chunk], [fanout] * 3, seed=8, epoch=3,
+                                         batch_index=2 + j)
+                for a, b in [(batch.global_ids, alone.global_ids),
+                             (batch.train_local, alone.train_local),
+                             *zip(batch.layer_rows, alone.layer_rows),
+                             *[(x, y) for p, q in zip(batch.layer_blocks, alone.layer_blocks)
+                               for x, y in ((p.indptr, q.indptr), (p.indices, q.indices),
+                                            (p.data, q.data))]]:
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert [x.shape for x in batch.layer_blocks] == [x.shape for x in alone.layer_blocks]
+
     def test_unlayered_batches_record_no_rows(self, dataset):
         batch = full_batch(dataset)
         assert batch.layer_rows is None and batch.layer_blocks is None
         assert batch.loss_rows is batch.train_local
 
     def test_a_batch_needs_exactly_one_operator_source(self, dataset):
-        batch = neighbor_sample(dataset, np.flatnonzero(dataset.train_mask)[:3], [2, 2], seed=0)
+        batch = neighbor_sample(dataset, [np.flatnonzero(dataset.train_mask)[:3]], [2, 2], seed=0)[0]
         ids, train = batch.global_ids, batch.train_local
         with pytest.raises(ValueError, match="either a graph or layer blocks"):
             Batch(ids, train)
