@@ -318,8 +318,9 @@ def read_matrix_binary(path) -> np.ndarray:
             raise ValueError(f"{path}: truncated matrix payload")
         if available > expected:
             raise ValueError(f"{path}: trailing bytes after the matrix payload")
-        data = np.frombuffer(fh.read(expected), dtype=dtype)
-    return data.astype(np.float64).reshape(rows, cols)
+        # an f8 payload is read straight into the result; f4 is converted once
+        data = np.fromfile(fh, dtype=dtype, count=rows * cols)
+    return data.astype(np.float64, copy=False).reshape(rows, cols)
 
 
 def write_matrix_csv(matrix: np.ndarray, path) -> Path:

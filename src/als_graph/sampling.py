@@ -311,11 +311,11 @@ def neighbor_sample(dataset: Dataset, seed_chunks, fanouts, seed: int, epoch: in
     stream index gives the same batch), and the same inputs give
     byte-identical batches.
 
-    All chunks expand together, one pass per hop: one gather, one sort and
-    one block build (``graph._sym_norm_rows``) over rows keyed by (chunk,
-    node), which is then cut into the chunks' batches. Only the draws and
-    the blocks take a call per chunk, so an epoch's batches cost a few dozen
-    numpy calls where building them one at a time cost that per batch.
+    All chunks expand together, one pass per hop: one gather and one block
+    build (``graph._sym_norm_rows``) over rows keyed by (chunk, node), which
+    is then cut into the chunks' batches. Only the draws, the sort and the
+    blocks take a call per chunk, so an epoch costs a few dozen numpy calls
+    where building its batches one at a time cost that per batch.
 
     Only the seeds carry a loss. Model layer ``depth - 1 - l`` reads hop
     ``l``'s draws directly: its rows are the nodes expanded at hop ``l``, and
@@ -362,24 +362,19 @@ def neighbor_sample(dataset: Dataset, seed_chunks, fanouts, seed: int, epoch: in
         starts = np.cumsum(lengths) - lengths  # each row's first candidate edge, in hop order
         first = np.searchsorted(rows, bounds)  # each chunk's first row
         edges = np.append(starts, starts[-1] + lengths[-1])[first]  # and its first candidate
-        counts = np.diff(edges)
-        # a row per chunk of its candidates' sort codes, padded with a code above them all
-        codes = np.full((len(chunks), counts.max()), np.iinfo(np.int64).max)
+        # each chunk sorts its (node, key) codes once; its rows ascend by node, so
+        # ``order`` lists each row's candidates (indices in hop order) together,
+        # smallest key first: a row picks its first min(degree, fanout) there
+        order = np.empty(edges[-1], dtype=np.int64)
         for j, gen in enumerate(gens):
             chunk = slice(first[j], first[j + 1])
-            codes[j, : counts[j]] = gen.integers(span, size=counts[j])
-            codes[j, : counts[j]] += np.repeat(nodes[chunk] * span, lengths[chunk])
-        order = np.argsort(codes, axis=1)
-        order += edges[:-1, None]  # candidate index in hop order
-        # a row's candidates keep their place in its chunk's sorted row, so its
-        # picks are the first min(degree, fanout) there (from ``at``, an index
-        # into ``order.ravel()``); flagged in a mask, they come out in ascending id
-        taken = np.minimum(lengths, fanout)
-        at = starts + np.repeat(np.arange(len(chunks)) * codes.shape[1] - edges[:-1],
-                                np.diff(first))
+            codes = gen.integers(span, size=edges[j + 1] - edges[j])
+            codes += np.repeat(nodes[chunk] * span, lengths[chunk])
+            order[edges[j] : edges[j + 1]] = codes.argsort() + edges[j]
         del codes
-        kept = np.zeros(edges[-1], dtype=bool)
-        kept[order.ravel()[_ranges(at, taken)]] = True
+        taken = np.minimum(lengths, fanout)
+        kept = np.zeros(edges[-1], dtype=bool)  # flagged, the picks come out ascending
+        kept[order[_ranges(starts, taken)]] = True
         del order
         kept = np.flatnonzero(kept)
         nbrs = g.col_indices[kept + np.repeat(g.row_offsets[nodes] - starts, taken)]

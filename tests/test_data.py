@@ -249,6 +249,27 @@ class TestMatrixPersistence:
         write_matrix_binary(m, tmp_path / "m.bin")
         assert np.array_equal(read_matrix_binary(tmp_path / "m.bin"), m)
 
+    def test_binary_read_peaks_at_one_copy_of_the_payload(self, tmp_path, rng):
+        """An f8 payload is read into the returned array, not into bytes first."""
+        m = rng.standard_normal((400, 250))
+        path = write_matrix_binary(m, tmp_path / "m.bin")
+        tracemalloc.start()
+        try:
+            got = read_matrix_binary(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, m) and peak <= 1.1 * m.nbytes
+        assert got.flags.writeable and got.flags.c_contiguous
+
+    def test_f4_payload_reads_as_float64(self, tmp_path, rng):
+        m = rng.standard_normal((5, 3)).astype("<f4")
+        path = tmp_path / "m.bin"
+        path.write_bytes(struct.pack("<4sIII", b"ALSM", 4, 5, 3) + m.tobytes())
+        got = read_matrix_binary(path)
+        assert got.dtype == np.float64 and np.array_equal(got, m)
+        assert got.flags.writeable and got.flags.c_contiguous
+
     def test_large_features_go_binary(self, tmp_path, rng):
         small = rng.standard_normal((10, 4))
         assert write_features(small, tmp_path / "a").suffix == ".csv"

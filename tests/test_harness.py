@@ -142,6 +142,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(key)):
             build_config({key: value})
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)
+                                     if f.type == "float"])
+    def test_non_finite_float_names_the_key(self, key, value):
+        """NaN passes every range check, so a float field must be finite first."""
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be finite, got {float(value)}")):
+            build_config({key: value})
+
     @pytest.mark.parametrize("text, overrides, message", [
         ("ablate.no_propagation = true\nablate.no_refinement = true\n", [],
          "cannot ablate propagation and refinement together"),

@@ -19,6 +19,7 @@ from als_graph.sampling import (
     partition_clusters,
     random_walk_sample,
 )
+from als_graph.rng import stream
 from als_graph.smoothing import loss_and_grads
 
 from conftest import (
@@ -460,6 +461,43 @@ class TestNeighborSample:
                                             (p.data, q.data))]]:
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 assert [x.shape for x in batch.layer_blocks] == [x.shape for x in alone.layer_blocks]
+
+    @pytest.mark.parametrize("self_loops", [False, True], ids=["plain", "self_loops"])
+    def test_batches_follow_the_draw_rule(self, dataset, self_loops):
+        """A plain-Python oracle of the draw rule in ``neighbor_sample``'s docstring.
+        Chunk ``j`` draws ``stream(seed, epoch, batch_index + j).integers(span)``
+        once per candidate of a hop, in hop order (rows ascending, neighbours in
+        CSR order); each row keeps the neighbours with its ``min(degree, fanout)``
+        smallest keys; the next hop expands the ascending union of the rows and
+        their picks. Two chunks of uneven size, every layer's rows and every
+        block row's columns."""
+        if self_loops:  # a drawn stored loop reads the same column as the self entry
+            dataset.graph = add_self_loops(dataset.graph)
+        g = dataset.graph
+        span = np.iinfo(np.int64).max // dataset.num_nodes
+        train = np.random.default_rng(5).permutation(np.flatnonzero(dataset.train_mask))
+        chunks, fanouts = [train[:13], train[13:18]], [4, 2, 3]
+        batches = neighbor_sample(dataset, chunks, fanouts, seed=11, epoch=2, batch_index=3)
+        assert len(batches) == len(chunks)
+        for j, (chunk, batch) in enumerate(zip(chunks, batches)):
+            gen = stream(11, 2, 3 + j)
+            rows = sorted(int(u) for u in chunk)
+            assert np.array_equal(batch.global_ids[batch.train_local], rows)
+            for hop, fanout in enumerate(fanouts):
+                candidates = [(u, int(v)) for u in rows for v in neighbors(g, u)]
+                keys = gen.integers(span, size=len(candidates))
+                picks = {u: [] for u in rows}
+                for (u, v), _ in sorted(zip(candidates, keys), key=lambda c: (c[0][0], c[1])):
+                    if len(picks[u]) < fanout:
+                        picks[u].append(v)
+                layer = len(fanouts) - 1 - hop
+                assert np.array_equal(batch.global_ids[batch.layer_rows[layer]], rows)
+                reads = block_reads(batch, layer)
+                assert list(reads) == rows
+                for u in rows:
+                    assert np.array_equal(reads[u], sorted({u, *picks[u]}))
+                rows = sorted(set(rows).union(*picks.values()))
+            assert np.array_equal(batch.global_ids, rows)
 
     def test_unlayered_batches_record_no_rows(self, dataset):
         batch = full_batch(dataset)
