@@ -376,6 +376,9 @@ def load_features(path) -> np.ndarray:
     """Read a feature matrix, sniffing binary versus CSV from the magic bytes."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == MATRIX_MAGIC:
-        return read_matrix_binary(path)
-    return read_matrix_csv(path)
+    if magic != MATRIX_MAGIC:
+        return read_matrix_csv(path)
+    features = read_matrix_binary(path)
+    if features.shape[0] == 0:  # rejected as an empty CSV is
+        raise ValueError(f"{path}: no matrix rows found")
+    return features

@@ -209,25 +209,20 @@ def _sym_norm_rows(g: CsrGraph, rows: np.ndarray, nbrs: np.ndarray | None = None
     Returns ``(blocks, columns)``: ``columns`` lists, ascending, the codes of
     the nodes each group reads, and group ``c``'s block holds its rows, with
     column ``j`` its ``j``-th node in ``columns``. On every row, ``columns``
-    is every node and the one block the whole operator. Each row's entries
-    are in ascending node id, so a row sums in the same order whichever
-    block holds it.
+    is every node and the one block the whole operator. Each group's columns
+    are narrowed in one pass over an n-wide table, and each row's entries
+    are sorted to ascending node id, so a row sums in the same order
+    whichever block holds it.
     """
     n = g.num_nodes
     nodes = rows % n
     if nbrs is None:
         _, nbrs = _gather_rows(g, nodes)
         kept = g.degrees[nodes]
-    src = np.repeat(nodes, kept)
-    loops = np.any(nbrs == src)
-    # each row's self entry goes after its neighbours with smaller ids
-    below = np.concatenate(([0], np.cumsum(nbrs < src)))
     ends = np.cumsum(kept)
-    at = ends - kept + below[ends] - below[ends - kept]
-    del src, below
-    cols = np.insert(nbrs, at, nodes)
-    own = at + np.arange(rows.size)  # the self entries' positions
-    indptr = np.concatenate(([0], ends + np.arange(1, rows.size + 1)))
+    cols = np.insert(nbrs, ends, nodes)  # each row's self entry after its neighbours
+    own = ends + np.arange(rows.size)  # the self entries' positions
+    indptr = np.concatenate(([0], own + 1))
     # row scale times column scale, times d_u / kept_u off the self entry
     # (exactly 1 for an unsampled row)
     scale = 1.0 / np.sqrt(g.degrees + 1.0)
@@ -237,31 +232,19 @@ def _sym_norm_rows(g: CsrGraph, rows: np.ndarray, nbrs: np.ndarray | None = None
     weight[own] = 1.0
     data *= weight
     del weight
-    cols += np.repeat(rows - nodes, kept + 1)  # (group, node) codes
     groups = int(rows[-1]) // n + 1 if rows.size else 1
     bounds = np.searchsorted(rows, np.arange(groups + 1) * n)
-    # one pass narrows as many groups as fit in max(entries, 2**16) table
-    # cells, so the table stays within the blocks' size on a large graph
-    step = max(1, max(cols.size, 1 << 16) // n)
     blocks, columns = [], []
-    for first in range(0, groups, step):
-        last = min(first + step, groups)
-        lo = indptr[bounds[first]]
-        codes = cols[lo : indptr[bounds[last]]]
-        codes -= first * n
-        read = np.zeros((last - first, n), dtype=bool)
-        read.ravel()[codes] = True
-        position = np.cumsum(read, axis=1)
-        position -= 1
-        codes[:] = position.ravel()[codes]  # each entry's column in its group's block
-        for c in range(first, last):
-            a, b = indptr[bounds[c]], indptr[bounds[c + 1]]
-            block = sp.csr_array(
-                (data[a:b], cols[a:b], indptr[bounds[c] : bounds[c + 1] + 1] - a),
-                shape=(bounds[c + 1] - bounds[c], position[c - first, -1] + 1))
-            if loops:
-                block.sum_duplicates()  # a stored self loop adds up with I, as in A + I
-            blocks.append(block)
-        columns.append(np.flatnonzero(read))
-        columns[-1] += first * n
-    return blocks, columns[0] if len(columns) == 1 else np.concatenate(columns)
+    for c in range(groups):
+        a, b = indptr[bounds[c]], indptr[bounds[c + 1]]
+        read = np.zeros(n, dtype=bool)
+        read[cols[a:b]] = True
+        position = np.cumsum(read) - 1  # each node's column in this group's block
+        block = sp.csr_array(
+            (data[a:b], position[cols[a:b]], indptr[bounds[c] : bounds[c + 1] + 1] - a),
+            shape=(bounds[c + 1] - bounds[c], position[-1] + 1))
+        # sorts each self entry in; a stored self loop adds up with I, as in A + I
+        block.sum_duplicates()
+        blocks.append(block)
+        columns.append(np.flatnonzero(read) + c * n)
+    return blocks, np.concatenate(columns)

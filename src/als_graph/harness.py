@@ -47,7 +47,7 @@ from .model import (
     sign_precompute,
 )
 from .propagation import init_label_matrix, predict_by_propagation, propagate
-from .reporting import EpochRecord, ExperimentReport, write_csv, write_report
+from .reporting import EpochRecord, ExperimentReport, _read_json_object, write_csv, write_report
 from .sampling import (
     Batch,
     Partition,
@@ -660,8 +660,7 @@ def save_checkpoint(directory, params: ModelParams, refinement: RefinementMatrix
 def load_checkpoint(directory) -> tuple[ModelParams, RefinementMatrix | None]:
     directory = Path(directory)
     path = directory / "manifest.json"
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _read_json_object(path, "manifest")
     try:
         arch, dropout, weight_names, bias_names = (
             manifest[key] for key in ("arch", "dropout", "weights", "biases"))
@@ -670,6 +669,8 @@ def load_checkpoint(directory) -> tuple[ModelParams, RefinementMatrix | None]:
     for key, names in (("weights", weight_names), ("biases", bias_names)):
         if not isinstance(names, list):
             raise ValueError(f"{path}: {key!r} must be a list of file names, got {names!r}")
+    if type(dropout) not in (int, float):
+        raise ValueError(f"{path}: 'dropout' must be a number, got {dropout!r}")
 
     def file(key: str, name) -> Path:
         # each file the manifest names is a plain name inside the directory, never a path out of it

@@ -72,6 +72,10 @@ def report_to_dict(report: ExperimentReport) -> dict:
 
 
 def _report_from_dict(doc: dict) -> ExperimentReport:
+    for key, kind in (("config", dict), ("per_epoch", list), ("bias_stats", dict), ("summary", dict)):
+        if not isinstance(doc[key], kind):
+            raise ValueError(f"{key!r} must be a JSON {'object' if kind is dict else 'array'}, "
+                             f"got {type(doc[key]).__name__}")
     stats = BiasStats(
         np.asarray(doc["bias_stats"]["mean"], dtype=np.float64),
         np.asarray(doc["bias_stats"]["std"], dtype=np.float64),
@@ -112,10 +116,24 @@ def write_csv(path, columns, rows) -> Path:
     return path
 
 
-def load_report(path) -> ExperimentReport:
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object the file ``path`` holds; an error names the file."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {what} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def load_report(path) -> ExperimentReport:
+    """A report written by ``write_report``; an error names the file, and the key where one applies."""
+    doc = _read_json_object(path, "report")
     try:
         return _report_from_dict(doc)
     except KeyError as exc:
         raise ValueError(f"{path}: report has no {exc.args[0]!r} key") from None
+    except (TypeError, ValueError) as exc:  # a value of the wrong JSON type
+        raise ValueError(f"{path}: {exc}") from None

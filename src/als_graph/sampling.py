@@ -311,11 +311,12 @@ def neighbor_sample(dataset: Dataset, seed_chunks, fanouts, seed: int, epoch: in
     stream index gives the same batch), and the same inputs give
     byte-identical batches.
 
-    All chunks expand together, one pass per hop: one gather and one block
-    build (``graph._sym_norm_rows``) over rows keyed by (chunk, node), which
-    is then cut into the chunks' batches. Only the draws, the sort and the
-    blocks take a call per chunk, so an epoch costs a few dozen numpy calls
-    where building its batches one at a time cost that per batch.
+    All chunks expand together, one pass per hop: one gather and one build
+    of the block entries (``graph._sym_norm_rows``) over rows keyed by
+    (chunk, node), which is then cut into the chunks' batches. Only the
+    draws, the sort and each chunk's block, its columns narrowed in one pass
+    over an n-wide table, take calls per chunk, a handful each, where
+    building the batches one at a time cost a few dozen calls per batch.
 
     Only the seeds carry a loss. Model layer ``depth - 1 - l`` reads hop
     ``l``'s draws directly: its rows are the nodes expanded at hop ``l``, and

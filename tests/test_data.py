@@ -333,6 +333,8 @@ class TestFeatureCsv:
 
     def test_empty_feature_file_rejected_before_the_other_files(self, tmp_path):
         (tmp_path / "x.csv").write_text("")
-        with pytest.raises(ValueError, match=r"x\.csv: no matrix rows found"):
-            load_dataset(tmp_path / "missing.tsv", tmp_path / "x.csv",
-                         tmp_path / "missing.csv", tmp_path / "missing.csv")
+        write_matrix_binary(np.zeros((0, 3)), tmp_path / "features.bin")
+        for name in ("x.csv", "features.bin"):
+            with pytest.raises(ValueError, match=rf"{re.escape(name)}: no matrix rows found"):
+                load_dataset(tmp_path / "missing.tsv", tmp_path / name,
+                             tmp_path / "missing.csv", tmp_path / "missing.csv")

@@ -231,23 +231,23 @@ class TestSymNormRows:
 
     def test_each_group_gets_the_block_its_rows_give_alone(self):
         """Rows keyed ``group * n + node`` give each group the block and columns
-        its rows give alone. At 70,000 nodes the column table narrows one
-        group per pass."""
+        its rows give alone, also where stored self loops add up with I."""
         n = 70_000
         gen = np.random.default_rng(5)
-        g = build_csr(gen.integers(n, size=(3 * n, 2)), n, symmetrize=True)
+        plain = build_csr(gen.integers(n, size=(3 * n, 2)), n, symmetrize=True)
         picks = [np.sort(gen.choice(n, size=40, replace=False)) for _ in range(3)]
         picks[1][:20] = picks[0][:20]  # groups may share nodes
         picks[1].sort()
-        blocks, cols = _sym_norm_rows(g, np.concatenate([p + j * n for j, p in enumerate(picks)]))
-        assert len(blocks) == 3
-        for j, (p, block) in enumerate(zip(picks, blocks)):
-            (alone,), alone_cols = _sym_norm_rows(g, p)
-            assert np.array_equal(cols[cols // n == j] - j * n, alone_cols)
-            assert block.shape == alone.shape
-            for x, y in ((block.indptr, alone.indptr), (block.indices, alone.indices),
-                         (block.data, alone.data)):
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for g in (plain, add_self_loops(plain)):
+            blocks, cols = _sym_norm_rows(g, np.concatenate([p + j * n for j, p in enumerate(picks)]))
+            assert len(blocks) == 3
+            for j, (p, block) in enumerate(zip(picks, blocks)):
+                (alone,), alone_cols = _sym_norm_rows(g, p)
+                assert np.array_equal(cols[cols // n == j] - j * n, alone_cols)
+                assert block.shape == alone.shape
+                for x, y in ((block.indptr, alone.indptr), (block.indices, alone.indices),
+                             (block.data, alone.data)):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     def test_a_row_that_keeps_no_neighbour_reads_itself_alone(self):
         g = build_csr([(0, 1), (1, 2)], 4, symmetrize=True)  # node 3 has degree 0

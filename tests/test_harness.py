@@ -685,15 +685,21 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         assert np.array_equal(refinement.w, result.refinement.w)
 
-    @pytest.mark.parametrize("key", ["arch", "dropout", "weights", "biases"])
-    def test_manifest_missing_key_names_file_and_key(self, tmp_path, key):
+    @pytest.mark.parametrize("rewrite, message", [
+        *(pytest.param(lambda doc, key=key: json.dumps({k: v for k, v in doc.items() if k != key}),
+                       f"manifest has no '{key}' key", id=key)
+          for key in ("arch", "dropout", "weights", "biases")),
+        pytest.param(lambda doc: json.dumps({**doc, "dropout": "0.5"}),
+                     "'dropout' must be a number, got '0.5'", id="dropout_text"),
+        pytest.param(lambda doc: "{bad", "manifest is not valid JSON: ", id="not_json"),
+        pytest.param(lambda doc: "[1]", "manifest must be a JSON object, got list", id="list"),
+    ])
+    def test_manifest_missing_key_names_file_and_key(self, tmp_path, rewrite, message):
         result = run_training(small_cfg(epochs=1))
         save_checkpoint(tmp_path, result.params, result.refinement, small_cfg(epochs=1))
         manifest = tmp_path / "manifest.json"
-        doc = json.loads(manifest.read_text())
-        del doc[key]
-        manifest.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=rf"manifest\.json: manifest has no '{key}' key"):
+        manifest.write_text(rewrite(json.loads(manifest.read_text())))
+        with pytest.raises(ValueError, match=re.escape(f"{manifest}: {message}")):
             load_checkpoint(tmp_path)
 
     @pytest.mark.parametrize("key, where", [("weights", "absolute"), ("weights", "parent"),
@@ -777,4 +783,17 @@ class TestReporting:
         del parent[drop[-1]]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=rf"r\.json: report has no '{drop[-1]}' key"):
+            load_report(path)
+
+    @pytest.mark.parametrize("rewrite, message", [
+        pytest.param(lambda doc: "{bad", "report is not valid JSON: ", id="not_json"),
+        pytest.param(lambda doc: "[1]", "report must be a JSON object, got list", id="list"),
+        pytest.param(lambda doc: json.dumps({**doc, "summary": []}),
+                     "'summary' must be a JSON object, got list", id="summary_list"),
+    ])
+    def test_malformed_report_names_file_and_key(self, tmp_path, rewrite, message):
+        report = run_experiment(small_cfg(epochs=1))
+        path, _ = write_report(report, tmp_path / "r.json")
+        path.write_text(rewrite(json.loads(path.read_text())))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_report(path)
