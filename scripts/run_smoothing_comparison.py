@@ -61,7 +61,7 @@ def main() -> None:
     for name, cfg in methods.items():
         finals = []
         for seed in range(args.seeds):
-            report = run_experiment(replace(cfg, seed=seed).validate())
+            report = run_experiment(replace(cfg, seed=seed))
             write_report(report, args.out_dir / f"{name}_seed{seed}.json")
             finals.append(report.per_epoch[-1])
         acc = np.array([r.test_acc for r in finals])

@@ -58,7 +58,7 @@ class Dataset:
     def num_nodes(self) -> int:
         return self.graph.num_nodes
 
-    def validate(self) -> "Dataset":
+    def __post_init__(self) -> None:
         n = self.graph.num_nodes
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise ValueError("feature matrix rows must match the node count")
@@ -73,7 +73,6 @@ class Dataset:
         bad = masked & ((self.labels < 0) | (self.labels >= self.num_classes))
         if np.any(bad):
             raise ValueError(f"node {int(np.flatnonzero(bad)[0])} is in a mask but has no valid label")
-        return self
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
@@ -157,7 +156,7 @@ def generate_sbm(blocks: int = 4, nodes_per_block: int = 50, p_in: float = 0.2,
         train[perm[:n_train]] = True
         val[perm[n_train : n_train + n_val]] = True
         test[perm[n_train + n_val :]] = True
-    return Dataset(graph, features, labels, b, train, val, test).validate()
+    return Dataset(graph, features, labels, b, train, val, test)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +251,12 @@ def load_dataset(edge_path, feature_path, label_path, split_path) -> Dataset:
     for lineno, node, role in _read_id_value_lines(split_path, "split", n):
         if role not in masks:
             raise ValueError(f"{split_path}:{lineno}: unknown split {role!r}")
+        if labels[node] < 0:
+            raise ValueError(f"{split_path}:{lineno}: node {node} has no label in {label_path}")
         masks[role][node] = True
 
     return Dataset(graph, features, labels, num_classes,
-                   masks["train"], masks["val"], masks["test"]).validate()
+                   masks["train"], masks["val"], masks["test"])
 
 
 def save_dataset(dataset: Dataset, directory) -> dict[str, Path]:

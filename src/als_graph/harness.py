@@ -86,7 +86,7 @@ def _key(name: str, default, choices=None, least=None, most=None):
     return dataclasses.field(default=default, metadata=dict(key=name, choices=choices, least=least, most=most))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     data_source: str = _key("data.source", "sbm", choices=("sbm", "files"))
     data_edges: str = _key("data.edges", "")
@@ -135,7 +135,7 @@ class ExperimentConfig:
     no_pacing: bool = _key("ablate.no_pacing", False)
     label_input: bool = _key("label_input", False)
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             key, choices, least, most = (f.metadata[k] for k in ("key", "choices", "least", "most"))
             value = getattr(self, f.name)
@@ -170,7 +170,6 @@ class ExperimentConfig:
             raise ValueError(f"model.dropout must lie in [0, 1), got {self.dropout}")
         if self.lr <= 0:
             raise ValueError(f"train.lr must be positive, got {self.lr}")
-        return self
 
 
 def _parse_bool(text: str) -> bool:
@@ -243,7 +242,7 @@ def build_config(mapping: dict[str, object]) -> ExperimentConfig:
         elif parser is _parse_ints and not isinstance(value, (str, tuple)):
             value = tuple(int(v) for v in value)
         kwargs[attr] = value
-    return ExperimentConfig(**kwargs).validate()
+    return ExperimentConfig(**kwargs)
 
 
 def config_to_flat(cfg: ExperimentConfig) -> dict[str, object]:
@@ -298,6 +297,9 @@ def build_partition(cfg: ExperimentConfig, dataset: Dataset) -> Partition | None
     """The cluster sampler's partition of the dataset graph; None for other samplers."""
     if cfg.sampler_kind != "cluster":
         return None
+    if cfg.num_parts > dataset.num_nodes:
+        raise ValueError(f"sampler.num_parts must be at most the node count ({dataset.num_nodes}), "
+                         f"got {cfg.num_parts}")
     return partition_clusters(dataset.graph, cfg.num_parts,
                               rng_streams.child_seed(cfg.seed, rng_streams.PARTITION))
 
@@ -421,7 +423,6 @@ def run_training(cfg: ExperimentConfig) -> TrainingResult:
     to the train rows' receptive field (``Batch.restrict_backward``).
     """
     _pin_heap_thresholds()
-    cfg.validate()
     dataset = build_dataset(cfg)
     if not dataset.train_mask.any() or not dataset.test_mask.any():
         raise ValueError("dataset needs nonempty train and test masks")
@@ -549,36 +550,45 @@ def export_relevance(refinement: RefinementMatrix, path) -> Path:
     return write_matrix_csv(softmax_rows(refinement.w), path)
 
 
+SUMMARY_COLUMNS = ("final_test_acc_mean", "final_test_acc_std")
+
+
+def _summary_row(labels: dict, report: ExperimentReport) -> dict:
+    """A summary CSV row: the run's label columns, then its ``SUMMARY_COLUMNS``."""
+    return {**labels, **{c: getattr(report, c) for c in SUMMARY_COLUMNS}}
+
+
+def _run_named(named, out_dir=None) -> list[ExperimentReport]:
+    """``run_repeated`` on each ``(name, config)`` in order; with ``out_dir``, writes ``<name>.json`` there."""
+    reports = []
+    for name, cfg in named:
+        aggregated, _ = run_repeated(cfg)
+        if out_dir is not None:
+            write_report(aggregated, Path(out_dir) / f"{name}.json")
+        reports.append(aggregated)
+    return reports
+
+
 def compare_label_exploitation(cfg: ExperimentConfig, out_csv) -> list[dict]:
     """Propagation-only, label-input and adaptive smoothing under one config.
 
     Accuracy for the parameter-free propagation baseline counts abstaining
     nodes (no label mass reached them) as incorrect.
     """
-    dataset = build_dataset(cfg)
-    yk = propagate(dataset.graph, init_label_matrix(dataset), cfg.beta, cfg.k_steps, cfg.self_loops)
-    pred, abstain = predict_by_propagation(yk)
-    test_ids = np.flatnonzero(dataset.test_mask)
-    hits = (pred[test_ids] == dataset.labels[test_ids]) & ~abstain[test_ids]
-    rows = [{
-        "method": "propagation_only",
-        "final_test_acc_mean": float(hits.mean()),
-        "final_test_acc_std": 0.0,
-    }]
     variants = {
         "label_input": replace(cfg, loss_mode="plain", label_input=True,
                                no_propagation=False, no_refinement=False, no_pacing=False),
         "als": replace(cfg, loss_mode="als", label_input=False),
     }
-    for name, variant in variants.items():
-        aggregated, _ = run_repeated(variant.validate())
-        rows.append({
-            "method": name,
-            "final_test_acc_mean": aggregated.final_test_acc_mean,
-            "final_test_acc_std": aggregated.final_test_acc_std,
-        })
-    columns = ("method", "final_test_acc_mean", "final_test_acc_std")
-    write_csv(out_csv, columns, ([row[c] for c in columns] for row in rows))
+    dataset = build_dataset(cfg)
+    yk = propagate(dataset.graph, init_label_matrix(dataset), cfg.beta, cfg.k_steps, cfg.self_loops)
+    pred, abstain = predict_by_propagation(yk)
+    test_ids = np.flatnonzero(dataset.test_mask)
+    hits = (pred[test_ids] == dataset.labels[test_ids]) & ~abstain[test_ids]
+    rows = [{"method": "propagation_only", **dict(zip(SUMMARY_COLUMNS, (float(hits.mean()), 0.0)))}]
+    rows += [_summary_row({"method": name}, report)
+             for name, report in zip(variants, _run_named(variants.items()))]
+    write_csv(out_csv, tuple(rows[0]), (row.values() for row in rows))
     return rows
 
 
@@ -592,37 +602,21 @@ def run_ablations(cfg: ExperimentConfig, out_dir) -> dict[str, ExperimentReport]
         "no_refinement": replace(base, no_refinement=True),
         "no_pacing": replace(base, no_pacing=True),
     }
-    results: dict[str, ExperimentReport] = {}
-    for name, variant in variants.items():
-        aggregated, _ = run_repeated(variant.validate())
-        results[name] = aggregated
-        write_report(aggregated, Path(out_dir) / f"{name}.json")
-    write_csv(Path(out_dir) / "ablation_summary.csv",
-              ("variant", "final_test_acc_mean", "final_test_acc_std"),
-              [(name, rep.final_test_acc_mean, rep.final_test_acc_std)
-               for name, rep in results.items()])
+    results = dict(zip(variants, _run_named(variants.items(), out_dir)))
+    rows = [_summary_row({"variant": name}, report) for name, report in results.items()]
+    write_csv(Path(out_dir) / "ablation_summary.csv", tuple(rows[0]), (row.values() for row in rows))
     return results
 
 
 def run_sweep(cfg: ExperimentConfig, grid: dict[str, list], out_dir) -> list[dict]:
-    """One run (or seed family) per grid point, all validated up front; one report per point."""
+    """One run (or seed family) per grid point, all checked up front; one report per point."""
     if not grid:
         raise ValueError("sweep grid is empty; set sweep.r / sweep.gamma / sweep.beta / sweep.k")
     attrs = sorted(grid)
     points = [dict(zip(attrs, combo)) for combo in itertools.product(*(grid[a] for a in attrs))]
-    configs = [replace(cfg, **point).validate() for point in points]
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for point, point_cfg in zip(points, configs):
-        aggregated, _ = run_repeated(point_cfg)
-        tag = "_".join(f"{a}={v}" for a, v in point.items())
-        write_report(aggregated, out_dir / f"sweep_{tag}.json")
-        rows.append({**point,
-                     "final_test_acc_mean": aggregated.final_test_acc_mean,
-                     "final_test_acc_std": aggregated.final_test_acc_std})
-    columns = (*attrs, "final_test_acc_mean", "final_test_acc_std")
-    write_csv(out_dir / "sweep_summary.csv", columns, ([row[c] for c in columns] for row in rows))
+    named = [("sweep_" + "_".join(f"{a}={v}" for a, v in p.items()), replace(cfg, **p)) for p in points]
+    rows = [_summary_row(point, report) for point, report in zip(points, _run_named(named, out_dir))]
+    write_csv(Path(out_dir) / "sweep_summary.csv", tuple(rows[0]), (row.values() for row in rows))
     return rows
 
 

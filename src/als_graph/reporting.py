@@ -71,26 +71,40 @@ def report_to_dict(report: ExperimentReport) -> dict:
     }
 
 
+NUMBER, INT = (int, float), (int,)  # the Python types of a JSON number and of a JSON integer
+
+
+def _typed(section: dict, key: str, where: str, types: tuple, what: str, listed: bool = False):
+    """``section[key]`` when its type (each entry's, for a ``listed`` key) is one of ``types``;
+    otherwise an error that names the key as ``where + key``."""
+    value = section[key]
+    entries = value if listed and isinstance(value, list) else [value]
+    if (listed and not isinstance(value, list)) or any(type(v) not in types for v in entries):
+        raise ValueError(f"'{where}{key}' must be {what}, got {value!r}")
+    return value
+
+
 def _report_from_dict(doc: dict) -> ExperimentReport:
     for key, kind in (("config", dict), ("per_epoch", list), ("bias_stats", dict), ("summary", dict)):
         if not isinstance(doc[key], kind):
             raise ValueError(f"{key!r} must be a JSON {'object' if kind is dict else 'array'}, "
                              f"got {type(doc[key]).__name__}")
-    stats = BiasStats(
-        np.asarray(doc["bias_stats"]["mean"], dtype=np.float64),
-        np.asarray(doc["bias_stats"]["std"], dtype=np.float64),
-        int(doc["bias_stats"]["batch_count"]),
-    )
-    records = [EpochRecord(**{col: rec[col] for col in CSV_COLUMNS}) for rec in doc["per_epoch"]]
-    summary = doc["summary"]
+    records = []
+    for i, rec in enumerate(doc["per_epoch"]):
+        where = f"per_epoch[{i}]."
+        records.append(EpochRecord(_typed(rec, "epoch", where, INT, "an integer"),
+                                   *(_typed(rec, col, where, NUMBER, "a number") for col in CSV_COLUMNS[1:])))
+    stats, summary = doc["bias_stats"], doc["summary"]
+    mean, std = (np.asarray(_typed(stats, key, "bias_stats.", NUMBER, "a list of numbers", listed=True),
+                            dtype=np.float64) for key in ("mean", "std"))
     return ExperimentReport(
         config=doc["config"],
         per_epoch=records,
-        bias_stats=stats,
-        final_relevance_path=doc["final_relevance_path"],
-        final_test_acc_mean=summary["final_test_acc_mean"],
-        final_test_acc_std=summary["final_test_acc_std"],
-        seeds=list(summary["seeds"]),
+        bias_stats=BiasStats(mean, std, _typed(stats, "batch_count", "bias_stats.", INT, "an integer")),
+        final_relevance_path=_typed(doc, "final_relevance_path", "", (str, type(None)), "a string or null"),
+        final_test_acc_mean=_typed(summary, "final_test_acc_mean", "summary.", NUMBER, "a number"),
+        final_test_acc_std=_typed(summary, "final_test_acc_std", "summary.", NUMBER, "a number"),
+        seeds=_typed(summary, "seeds", "summary.", INT, "a list of integers", listed=True),
     )
 
 

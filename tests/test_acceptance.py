@@ -273,7 +273,7 @@ def test_criterion_08_baseline_coverage(tmp_path):
         sbm_feature_dim=6, sbm_feature_noise=1.0, sbm_train_fraction=0.3,
         sbm_val_fraction=0.2, num_parts=3, parts_per_batch=1,
         hidden=8, dropout=0.0, epochs=5, lr=0.05, loss_mode="plain",
-    ).validate()
+    )
     rows = compare_label_exploitation(cfg, tmp_path / "methods.csv")
     methods = [r["method"] for r in rows]
     csv_lines = (tmp_path / "methods.csv").read_text().strip().splitlines()
@@ -311,7 +311,7 @@ def test_criterion_09_determinism(tmp_path):
         sbm_feature_dim=4, sbm_train_fraction=0.4, sbm_val_fraction=0.2,
         num_parts=3, parts_per_batch=1, hidden=8, dropout=0.5,
         epochs=3, lr=0.05, loss_mode="als", seed=17,
-    ).validate()
+    )
     paths = []
     for i in range(2):
         report = run_experiment(cfg)
@@ -343,7 +343,7 @@ def test_criterion_10_flickr_stretch():
         epochs=30, lr=0.01, loss_mode="plain", repeats=5,
         pacing_kind="linear", pacing_r=5e-3, alpha_max=0.1, gamma=5e-3,
         beta=0.5, k_steps=2,
-    ).validate()
+    )
     from als_graph.harness import run_repeated
 
     plain, _ = run_repeated(cfg)

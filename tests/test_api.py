@@ -1,5 +1,5 @@
-"""The package's public names are its modules' ``__all__`` lists, each name in one, and no
-module imports a name it does not use."""
+"""The package's public names are its modules' ``__all__`` lists, each name in one, no
+module imports a name it does not use, and no class checks itself in a separate step."""
 from __future__ import annotations
 
 import ast
@@ -51,3 +51,15 @@ def test_no_module_level_import_goes_unused():
                 if bound not in read and "# noqa" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno}: {bound}")
     assert unused == []
+
+
+def test_no_class_defines_a_validate_method():
+    """A value class checks itself in ``__post_init__``, so no instance exists unchecked;
+    a ``validate`` method would be a second, skippable checking step."""
+    found = []
+    for path in sorted(Path(als_graph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{path.name}: {node.name}.validate" for item in node.body
+                          if isinstance(item, ast.FunctionDef) and item.name == "validate"]
+    assert found == []

@@ -193,6 +193,14 @@ def test_analyze_bias_rejects_epochs_below_one(tmp_path, config_path, capsys, ep
     assert not out.exists()
 
 
+def test_num_parts_above_the_node_count_names_its_key(tmp_path, config_path, capsys):
+    code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "r.json"),
+                 "sampler.num_parts=50"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "sampler.num_parts must be at most the node count (45), got 50"
+
+
 def test_ablate_writes_summary(tmp_path, config_path):
     out_dir = tmp_path / "abl"
     code = main(["ablate", "--config", str(config_path), "--out-dir", str(out_dir),

@@ -152,6 +152,12 @@ class TestGenerateSbm:
         assert not np.any(d.train_mask & d.val_mask)
         assert np.all(d.train_mask | d.val_mask | d.test_mask)
 
+    def test_dataset_with_overlapping_masks_is_rejected_when_built(self):
+        d = generate_sbm(blocks=2, nodes_per_block=5, seed=1)
+        with pytest.raises(ValueError, match="train and test masks overlap"):
+            Dataset(d.graph, d.features, d.labels, d.num_classes,
+                    d.train_mask, d.val_mask, d.test_mask | d.train_mask)
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError, match="blocks and nodes_per_block must be positive"):
             generate_sbm(blocks=0)
@@ -239,7 +245,8 @@ class TestDatasetFiles:
         (tmp_path / "x.csv").write_text("1.0\n2.0\n")
         (tmp_path / "y.csv").write_text("0,0\n")
         (tmp_path / "s.csv").write_text("0,train\n1,test\n")
-        with pytest.raises(ValueError, match="no valid label"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / 's.csv'}:2: node 1 has no label in {tmp_path / 'y.csv'}")):
             load_dataset(tmp_path / "e.tsv", tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "s.csv")
 
 

@@ -58,7 +58,7 @@ def small_cfg(**kwargs) -> ExperimentConfig:
         hidden=8, dropout=0.2, epochs=4, lr=0.05, loss_mode="als",
     )
     base.update(kwargs)
-    return ExperimentConfig(**base).validate()
+    return ExperimentConfig(**base)
 
 
 class TestConfig:
@@ -161,6 +161,26 @@ class TestConfig:
     def test_rejected_config_names_the_problem(self, text, overrides, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build_config(apply_overrides(parse_config_text(text, origin="exp.cfg"), overrides))
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(ValueError, match=re.escape("train.epochs must be at least 1, got 0")):
+            dataclasses.replace(small_cfg(), epochs=0)
+
+    def test_config_cannot_be_changed_in_place(self):
+        cfg = small_cfg()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.epochs = 0
+        assert cfg.epochs == 4
+
+    def test_num_parts_above_a_files_dataset_node_count_names_its_key(self, tmp_path):
+        paths = save_dataset(harness.build_dataset(small_cfg()), tmp_path)
+        cfg = small_cfg(num_parts=61, data_source="files",
+                        **{f"data_{name}": str(path) for name, path in paths.items()})
+        dataset = harness.build_dataset(cfg)
+        with pytest.raises(ValueError, match=re.escape(
+                "sampler.num_parts must be at most the node count (60), got 61")):
+            harness.build_partition(cfg, dataset)
+        assert harness.build_partition(dataclasses.replace(cfg, num_parts=60), dataset).num_parts == 60
 
     def test_values_parse_by_field_annotation(self):
         cfg = build_config({"loss.gamma": "0", "train.lr": "1", "train.epochs": "3",
@@ -790,6 +810,14 @@ class TestReporting:
         pytest.param(lambda doc: "[1]", "report must be a JSON object, got list", id="list"),
         pytest.param(lambda doc: json.dumps({**doc, "summary": []}),
                      "'summary' must be a JSON object, got list", id="summary_list"),
+        pytest.param(lambda doc: json.dumps({**doc, "per_epoch": [{**doc["per_epoch"][0], "test_acc": "high"}]}),
+                     "'per_epoch[0].test_acc' must be a number, got 'high'", id="test_acc_string"),
+        pytest.param(lambda doc: json.dumps({**doc, "summary": {**doc["summary"], "final_test_acc_mean": None}}),
+                     "'summary.final_test_acc_mean' must be a number, got None", id="mean_null"),
+        pytest.param(lambda doc: json.dumps({**doc, "bias_stats": {**doc["bias_stats"], "batch_count": 1.7}}),
+                     "'bias_stats.batch_count' must be an integer, got 1.7", id="batch_count_float"),
+        pytest.param(lambda doc: json.dumps({**doc, "summary": {**doc["summary"], "seeds": "abc"}}),
+                     "'summary.seeds' must be a list of integers, got 'abc'", id="seeds_string"),
     ])
     def test_malformed_report_names_file_and_key(self, tmp_path, rewrite, message):
         report = run_experiment(small_cfg(epochs=1))
