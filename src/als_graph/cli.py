@@ -54,6 +54,9 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    out = Path(args.out)
+    if out.suffix == ".csv":  # the per-epoch CSV goes to out.with_suffix(".csv")
+        raise ValueError(f"--out {out}: the per-epoch CSV would overwrite the report; end it in .json")
     cfg = harness.build_config(_load_mapping(args))
     if args.checkpoint_dir and cfg.repeats > 1:
         raise ValueError("--checkpoint-dir saves one run's parameters; "
@@ -64,7 +67,6 @@ def cmd_train(args) -> int:
     else:
         result = harness.run_training(cfg)
         report = result.report
-    out = Path(args.out)
     if result is not None and result.refinement is not None:
         relevance = out.with_name(out.stem + ".relevance.csv")
         harness.export_relevance(result.refinement, relevance)

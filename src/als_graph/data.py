@@ -184,35 +184,34 @@ def _parse_id(token: str, path, lineno: int, what: str = "node id", num_nodes: i
     return value
 
 
+def _read_two_fields(path, sep: str | None, form: str, num_nodes: int | None, once: bool = True):
+    """``(lineno, node, second field)`` per line of two fields split at ``sep``
+    (None: at whitespace), where errors name the line ``form``. The first field
+    is a node id, below ``num_nodes`` when it is given; with ``once`` a node
+    may be listed only once."""
+    seen: set[int] = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, text, raw in scan_lines(fh):
+            fields = text.split(sep)
+            if len(fields) != 2:
+                raise ValueError(f"{path}:{lineno}: expected {form!r}, got {raw!r}")
+            node = _parse_id(fields[0], path, lineno, num_nodes=num_nodes)
+            if node in seen:
+                raise ValueError(f"{path}:{lineno}: node {node} listed more than once")
+            if once:
+                seen.add(node)
+            yield lineno, node, fields[1].strip()
+
+
 def read_edge_list(path, num_nodes: int | None = None) -> tuple[np.ndarray, int]:
     """Parse an edge file; returns (pairs, max_id_plus_one).
 
     Every node id must lie below ``num_nodes`` when it is given.
     """
-    pairs: list[tuple[int, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, text, raw in scan_lines(fh):
-            fields = text.split()
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'src<TAB>dst', got {raw!r}")
-            pairs.append(tuple(_parse_id(tok, path, lineno, num_nodes=num_nodes) for tok in fields))
+    lines = _read_two_fields(path, None, "src<TAB>dst", num_nodes, once=False)
+    pairs = [(src, _parse_id(dst, path, lineno, num_nodes=num_nodes)) for lineno, src, dst in lines]
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return arr, int(arr.max(initial=-1)) + 1
-
-
-def _read_id_value_lines(path, what: str, num_nodes: int | None):
-    """``(lineno, node, value)`` per ``node_id,value`` line; a node may be listed only once."""
-    seen: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, text, raw in scan_lines(fh):
-            fields = text.split(",")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'node_id,{what}', got {raw!r}")
-            node = _parse_id(fields[0], path, lineno, num_nodes=num_nodes)
-            if node in seen:
-                raise ValueError(f"{path}:{lineno}: node {node} listed more than once")
-            seen.add(node)
-            yield lineno, node, fields[1].strip()
 
 
 def read_labels(path, num_nodes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +221,7 @@ def read_labels(path, num_nodes: int | None = None) -> tuple[np.ndarray, np.ndar
     listed only once.
     """
     nodes: dict[int, int] = {}
-    for lineno, node, value in _read_id_value_lines(path, "label", num_nodes):
+    for lineno, node, value in _read_two_fields(path, ",", "node_id,label", num_nodes):
         nodes[node] = _parse_id(value, path, lineno, "class id")
     if not nodes:
         raise ValueError(f"{path}: no labels found")
@@ -248,7 +247,7 @@ def load_dataset(edge_path, feature_path, label_path, split_path) -> Dataset:
     num_classes = int(classes.max()) + 1
 
     masks = {"train": np.zeros(n, dtype=bool), "val": np.zeros(n, dtype=bool), "test": np.zeros(n, dtype=bool)}
-    for lineno, node, role in _read_id_value_lines(split_path, "split", n):
+    for lineno, node, role in _read_two_fields(split_path, ",", "node_id,split", n):
         if role not in masks:
             raise ValueError(f"{split_path}:{lineno}: unknown split {role!r}")
         if labels[node] < 0:
@@ -271,17 +270,14 @@ def save_dataset(dataset: Dataset, directory) -> dict[str, Path]:
     }
     u, v = dataset.graph.edge_arrays()
     keep = u <= v
-    with open(paths["edges"], "w", encoding="utf-8") as fh:
-        for a, b in zip(u[keep], v[keep]):
-            fh.write(f"{a}\t{b}\n")
+    np.savetxt(paths["edges"], np.column_stack((u[keep], v[keep])), fmt="%d", delimiter="\t")
     paths["features"] = write_features(dataset.features, directory / "features")
-    with open(paths["labels"], "w", encoding="utf-8") as fh:
-        for node in np.flatnonzero(dataset.labels >= 0):
-            fh.write(f"{node},{dataset.labels[node]}\n")
+    labeled = np.flatnonzero(dataset.labels >= 0)
+    np.savetxt(paths["labels"], np.column_stack((labeled, dataset.labels[labeled])), fmt="%d",
+               delimiter=",")
     with open(paths["splits"], "w", encoding="utf-8") as fh:
         for role in ("train", "val", "test"):
-            for node in np.flatnonzero(getattr(dataset, f"{role}_mask")):
-                fh.write(f"{node},{role}\n")
+            np.savetxt(fh, np.flatnonzero(getattr(dataset, f"{role}_mask")), fmt=f"%d,{role}")
     return paths
 
 
@@ -343,11 +339,13 @@ def _csv_error(path) -> str | None:
             if width is not None and len(fields) != width:
                 return f"{path}:{lineno}: the number of columns changed from {width} to {len(fields)}"
             width = len(fields)
-            for token in fields:
-                try:
+            for token in map(str.strip, fields):
+                try:  # float() also reads "_" digit groups and non-ASCII digits; numpy does not
+                    if "_" in token or not token.isascii():
+                        raise ValueError(token)
                     float(token)
                 except ValueError:
-                    return f"{path}:{lineno}: could not convert string {token.strip()!r} to float"
+                    return f"{path}:{lineno}: could not convert string {token!r} to float"
     return None
 
 

@@ -111,18 +111,31 @@ def build_csr(edge_list, num_nodes: int, symmetrize: bool = False) -> CsrGraph:
     keep = np.empty(codes.size, dtype=bool)
     keep[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
-    if not keep.all():  # compact in place, a 128 KiB slice at a time: no second code array
-        kept, step = 0, 1 << 14
-        for lo in range(0, codes.size, step):
-            chunk = codes[lo : lo + step][keep[lo : lo + step]]
-            codes[kept : kept + chunk.size] = chunk
-            kept += chunk.size
-        codes.resize(kept, refcheck=False)
+    if not keep.all():
+        codes = _keep_in_place(codes, keep)
     del keep
     # row u's codes are those in [u * n, (u + 1) * n); the remainders are its columns
     offsets = np.searchsorted(codes, np.arange(num_nodes + 1) * num_nodes)
     codes %= num_nodes
     return CsrGraph(num_nodes, offsets, codes)
+
+
+def _keep_in_place(a: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+    """``a[keep]`` for a bool mask or strictly ascending ids of ``a``'s rows (None:
+    every row), moved to ``a``'s leading rows 128 KiB at a time; ``a``, which must
+    own its data, is then cut to them, so no second array of its size is made."""
+    if keep is None:
+        return a
+    if keep.dtype != bool:
+        rows, keep = keep, np.zeros(len(a), dtype=bool)
+        keep[rows] = True
+    step, kept = max(1, (128 << 10) // max(a[:1].nbytes, 1)), 0
+    for lo in range(0, len(a), step):  # each slice's copy is freed before the next is made
+        moved = np.count_nonzero(keep[lo : lo + step])
+        a[kept : kept + moved] = a[lo : lo + step][keep[lo : lo + step]]
+        kept += moved
+    a.resize((kept, *a.shape[1:]), refcheck=False)
+    return a
 
 
 def add_self_loops(g: CsrGraph) -> CsrGraph:

@@ -254,7 +254,7 @@ def config_to_flat(cfg: ExperimentConfig) -> dict[str, object]:
 
 
 def parse_sweep_grid(mapping: dict[str, str]) -> dict[str, list]:
-    """Pull sweep.* keys out of a raw config mapping into attr -> values."""
+    """Pull sweep.* keys out of a raw config mapping into attr -> distinct values."""
     grid: dict[str, list] = {}
     for key, swept in _SWEEP_KEYS.items():
         if key in mapping:
@@ -266,6 +266,9 @@ def parse_sweep_grid(mapping: dict[str, str]) -> dict[str, list]:
                 grid[attr] = [parser(tok) for tok in tokens]
             except ValueError as exc:
                 raise ValueError(f"config key {key}: {exc}") from None
+            for i, value in enumerate(grid[attr]):
+                if value in grid[attr][:i]:  # the same point twice would overwrite its report
+                    raise ValueError(f"config key {key}: value {tokens[i]} repeats an earlier value")
     return grid
 
 

@@ -12,12 +12,12 @@ loss rows only. A whole-graph batch computes every row, which evaluation
 reads; once its backward is restricted (``Batch.restrict_backward``), the
 backward computes only the train rows' receptive field, on the same kind of
 row blocks. The forward keeps only what the backward reads: each layer's
-input, one-byte ReLU gates and dropout keep masks, each at the rows the
-backward reads, and the logits. Layer 0's ``AX`` is formed once per
-read-only feature matrix (``Batch.first_product``). Both passes work in
-place on arrays they allocated, and the backward releases each layer's
-cache entries once that layer's gradients are formed, so a cache serves one
-backward. The optimizer is standard bias-corrected adaptive moments, updated
+input, one one-byte mask per hidden layer (its ReLU gate and dropout keep
+mask in one), each at the rows the backward reads, and the logits. Layer
+0's ``AX`` is formed once per read-only feature matrix
+(``Batch.first_product``). Both passes work in place on arrays they
+allocated, and the backward releases each layer's cache entries once that
+layer's gradients are formed, so a cache serves one backward. The optimizer is standard bias-corrected adaptive moments, updated
 in place over a flat list of parameter arrays, and the inception-style
 precompute stacks powers of the normalized adjacency applied to the
 features.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import CsrGraph, normalized_spmm
+from .graph import CsrGraph, _keep_in_place, normalized_spmm
 from .rng import stream
 from .sampling import Batch
 
@@ -89,18 +89,19 @@ class ForwardCache:
     """What ``backward`` reads, and nothing more.
 
     Per layer its operator's transpose and cached input; per hidden layer
-    its ReLU gate ``z > 0`` and its row-selected dropout keep mask (both
-    ``bool``; the mask is None without dropout); and the logits. Each holds
-    only the rows the backward reads (``Batch.blocks``).
-    ``backward`` sets each layer's input, gate and mask to None once that
-    layer's gradients are formed, so a cache serves exactly one backward.
+    one ``bool`` gate, its ReLU gate ``z > 0`` and-ed with its dropout keep
+    mask; the inverted-dropout scale ``1 / (1 - p)`` (1.0 where no dropout
+    applied); and the logits. Each array holds only the rows the backward
+    reads (``Batch.blocks``). ``backward`` sets each layer's input and gate
+    to None once that layer's gradients are formed, so a cache serves
+    exactly one backward.
     """
 
     params: ModelParams
     transposes: list[sp.sparray | None]
     layer_inputs: list[np.ndarray | None]
     gates: list[np.ndarray | None]
-    dropout_masks: list[np.ndarray | None]
+    scale: float = 1.0
     logits: np.ndarray | None = None
     logit_rows: np.ndarray | None = None  # the logits rows the backward reads; None: all
 
@@ -118,27 +119,6 @@ def _dropout_keep(gen: np.random.Generator, shape: tuple, p: float) -> np.ndarra
     return words[:size].reshape(shape) >= threshold
 
 
-def _rows(a: np.ndarray | None, rows: np.ndarray | None) -> np.ndarray | None:
-    return a if a is None or rows is None else a[rows]
-
-
-def _keep_rows(a: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """``a[rows]`` for ascending ``rows``, formed in ``a``'s own leading rows.
-
-    Row ``i`` comes from row ``rows[i] >= i``, which no earlier step has
-    overwritten; rows move 128 KiB at a time, and ``a`` is then cut to them,
-    so no second array of ``a``'s height is made. ``a`` must own its data.
-    """
-    if rows is None:
-        return a
-    step = max(1, (128 << 10) // max(a[:1].nbytes, 1))
-    for lo in range(0, rows.size, step):
-        moved = rows[lo : lo + step]
-        a[lo : lo + moved.size] = a[moved]
-    a.resize((rows.size, *a.shape[1:]), refcheck=False)
-    return a
-
-
 def _projects_first(op, w: np.ndarray) -> bool:
     """True when the layer computes A(HW): it aggregates and narrows."""
     return op is not None and w.shape[1] < w.shape[0]
@@ -154,8 +134,9 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
     layer blocks the ``train_local`` rows only (``batch.loss_rows`` indexes
     them). Dropout applies to hidden activations only and only in train
     mode, with inverted scaling; each layer's keep mask is drawn
-    (``_dropout_keep``) for the rows that layer computes only. With dropout
-    0 train and eval mode are the same computation.
+    (``_dropout_keep``) for the rows that layer computes only, and cached
+    and-ed into its ReLU gate. With dropout 0 train and eval mode are the
+    same computation.
 
     A GCN layer that narrows computes ``A(HW) + b`` and caches its input
     ``H``; every other layer computes ``(AH)W + b``, drops ``H`` once ``AH``
@@ -165,9 +146,9 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
     on a graph batch after ``Batch.restrict_backward``, the loss rows'
     receptive field, while every row is still computed; above layer 0 those
     rows are moved within the layer's own array once ``z`` is formed
-    (``_keep_rows``), not copied out of it. Each layer's bias,
-    ReLU and dropout work in place on the layer's own pre-activation array;
-    ``features`` is never written.
+    (``graph._keep_in_place``), not copied out of it, as are the mask's.
+    Each layer's bias, ReLU and dropout work in place on the layer's own
+    pre-activation array; ``features`` is never written.
     """
     h = np.asarray(features, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != batch.num_nodes:
@@ -177,7 +158,7 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
                          f"({params.weights[0].shape[0]})")
     p = params.dropout
     gen = stream(seed) if train_mode and p > 0 else None
-    cache = ForwardCache(params, [], [], [], [])
+    cache = ForwardCache(params, [], [], [])
     ops = batch.blocks(params.depth) if params.arch == "gcn" else ((None,) * 4,) * params.depth
     if params.arch == "mlp" and batch.layer_rows is not None:
         h = h[batch.train_local]  # mlp rows are independent: keep only the loss rows
@@ -190,20 +171,21 @@ def forward(params: ModelParams, batch: Batch, features: np.ndarray,
                 h = batch.first_product(h) if layer == 0 else op @ h
             z, cached = h @ w, keeps
         # layer 0's input is the caller's or the batch's; every later one is this pass's own
-        x = _rows(h, cached) if layer == 0 else _keep_rows(h, cached)
+        x = h[cached] if layer == 0 and cached is not None else _keep_in_place(h, cached)
         z += b
         cache.transposes.append(op_t)
         cache.layer_inputs.append(x)
         if layer == params.depth - 1:
             break
-        cache.gates.append(_rows(z > 0, keeps))
+        gate = _keep_in_place(z > 0, keeps)
         h, z = np.maximum(z, 0.0, out=z), None  # only h holds it: freed once A h is formed
-        keep = None
         if gen is not None:
             keep = _dropout_keep(gen, h.shape, p)
-            h *= 1.0 / (1.0 - p)
+            cache.scale = 1.0 / (1.0 - p)
+            h *= cache.scale
             h *= keep
-        cache.dropout_masks.append(_rows(keep, keeps))
+            gate &= _keep_in_place(keep, keeps)
+        cache.gates.append(gate)
     cache.logits, cache.logit_rows = z, keeps
     return z, cache
 
@@ -222,11 +204,11 @@ def backward(params: ModelParams, cache: ForwardCache,
     after ``Batch.restrict_backward``), only those rows of ``dlogits`` are
     read, and a nonzero entry in any other row raises ``ValueError``.
 
-    The pass consumes ``cache``: each layer's input, gate and dropout mask
-    are released once its weight gradient is formed, and a second call on
-    the same cache raises ``ValueError``. Below the logits the dropout and
-    ReLU gates are multiplied into the backward's own ``dH`` in place, so
-    ``dlogits`` is never written.
+    The pass consumes ``cache``: each layer's input and gate are released
+    once its weight gradient is formed, and a second call on the same cache
+    raises ``ValueError``. Below the logits the dropout scale and the gates
+    are multiplied into the backward's own ``dH`` in place, so ``dlogits``
+    is never written.
     """
     if cache.params is not params:
         raise ValueError("stale cache: it was produced by a different forward call")
@@ -244,11 +226,10 @@ def backward(params: ModelParams, cache: ForwardCache,
     bgrads = [np.empty(0)] * params.depth
     for layer in range(params.depth - 1, -1, -1):
         if layer < params.depth - 1:  # dh is this pass's own array from here on
-            if cache.dropout_masks[layer] is not None:
-                dh *= 1.0 / (1.0 - params.dropout)
-                dh *= cache.dropout_masks[layer]
+            if cache.scale != 1.0:
+                dh *= cache.scale
             dh *= cache.gates[layer]
-            cache.gates[layer] = cache.dropout_masks[layer] = None
+            cache.gates[layer] = None
         bgrads[layer] = dh.sum(axis=0)  # dh is dz here
         w, op_t = params.weights[layer], cache.transposes[layer]
         narrows = _projects_first(op_t, w)

@@ -262,6 +262,14 @@ def test_out_path_directory_is_created(tmp_path, config_path, command, out_name)
         assert (out.parent / "r.relevance.csv").exists() and (out.parent / "r.csv").exists()
 
 
+def test_train_rejects_an_out_path_that_is_its_own_csv(tmp_path, config_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["train", "--config", str(config_path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and err["message"].startswith(f"--out {out}: ")
+    assert list(tmp_path.iterdir()) == [config_path]  # nothing trained, nothing written
+
+
 def test_export_relevance_from_checkpoint(tmp_path, config_path):
     ckpt = tmp_path / "ckpt"
     main(["train", "--config", str(config_path), "--out", str(tmp_path / "r.json"),
@@ -272,6 +280,18 @@ def test_export_relevance_from_checkpoint(tmp_path, config_path):
     rows = np.loadtxt(out, delimiter=",", ndmin=2)
     assert rows.shape == (3, 3)
     assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-9
+
+
+def test_export_relevance_rejects_a_checkpoint_without_relevance(tmp_path, config_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "r.json"),
+                 "--checkpoint-dir", str(ckpt), "loss.mode=plain"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "relevance.csv"
+    assert main(["export-relevance", "--checkpoint", str(ckpt), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": f"checkpoint {ckpt} holds no relevance matrix"}
+    assert not out.exists()
 
 
 def test_export_relevance_rejects_manifest_without_weights(tmp_path, config_path, capsys):

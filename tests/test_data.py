@@ -255,6 +255,7 @@ class TestMatrixPersistence:
         m = rng.standard_normal((7, 3))
         write_matrix_binary(m, tmp_path / "m.bin")
         assert np.array_equal(read_matrix_binary(tmp_path / "m.bin"), m)
+        assert np.array_equal(load_features(tmp_path / "m.bin"), m)  # told from CSV by its magic
 
     def test_binary_read_peaks_at_one_copy_of_the_payload(self, tmp_path, rng):
         """An f8 payload is read into the returned array, not into bytes first."""
@@ -330,10 +331,15 @@ class TestFeatureCsv:
         ("# c\n1,2\n3,y\n", "3: could not convert string 'y' to float"),
         ("# c\n1,2\n3\n", "3: the number of columns changed from 2 to 1"),
         ("1,2\n\n# c\n3,4,5\n", "4: the number of columns changed from 2 to 3"),
+        # float() reads these, numpy does not; the rescan must reject them too
+        ("# c\n1,2\n3,1_0\n", "3: could not convert string '1_0' to float"),
+        ("# c\n1,2\n3,\u0661\n", "3: could not convert string '\u0661' to float"),
+        # numpy reads a non-ASCII space around a number, so the line to name is the next
+        ("1,2\u00a0\n3,1_0\n", "2: could not convert string '1_0' to float"),
     ])
     def test_error_names_the_physical_line(self, tmp_path, text, message):
         path = tmp_path / "x.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError) as excinfo:
             load_features(path)
         assert str(excinfo.value) == f"{path}:{message}"

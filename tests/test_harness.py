@@ -188,6 +188,8 @@ class TestConfig:
         assert (cfg.gamma, cfg.lr, cfg.epochs) == (0.0, 1.0, 3)
         assert [type(v) for v in (cfg.gamma, cfg.lr, cfg.epochs)] == [float, float, int]
         assert cfg.stop_gradient is True and cfg.fanouts == (1, 2, 3)
+        for text in ("false", "0", "no", "Off"):
+            assert build_config({"loss.stop_gradient": text}).stop_gradient is False
 
     def test_readme_table_lists_every_config_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -224,6 +226,11 @@ class TestConfig:
     def test_bad_sweep_value_names_the_key(self):
         with pytest.raises(ValueError, match=r"config key sweep\.k: invalid literal .* 'x'"):
             parse_sweep_grid({"sweep.k": "1,x"})
+        # a value equal to an earlier one would run, and write the report of, one point twice
+        for key, values, repeated in (("sweep.r", "0.01,0.010", "0.010"), ("sweep.k", "1, 2, 1", "1")):
+            with pytest.raises(ValueError) as excinfo:
+                parse_sweep_grid({key: values})
+            assert str(excinfo.value) == f"config key {key}: value {repeated} repeats an earlier value"
 
     def test_key_set_twice_in_a_file_rejected(self):
         with pytest.raises(ValueError, match=r"exp\.cfg:3: key 'train\.lr' set more than once"):

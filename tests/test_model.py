@@ -149,7 +149,7 @@ class TestForward:
         b, eval_cache = forward(params, batch, feats, train_mode=False)
         assert a.tobytes() == b.tobytes()
         assert train_cache.transposes == eval_cache.transposes
-        assert train_cache.dropout_masks == eval_cache.dropout_masks == [None] * 2
+        assert train_cache.scale == eval_cache.scale == 1.0
         for name in ("layer_inputs", "gates"):
             for x, y in zip(getattr(train_cache, name), getattr(eval_cache, name)):
                 assert x.tobytes() == y.tobytes()
@@ -368,7 +368,7 @@ class TestBackward:
         assert [z.shape[0] for z in cache.gates + [cache.logits]] == sizes
         assert [op.T.shape for op in cache.transposes] == [(sizes[0], n), (sizes[1], sizes[0]),
                                                          (sizes[2], sizes[1])]
-        assert [m.shape[0] for m in cache.dropout_masks[:2]] == sizes[:2]
+        assert cache.scale == 2.0
         # dense oracle at full batch height; each layer's masks are drawn at the
         # height of its output rows and scattered to them (other rows are unread)
         gen = stream(1)
@@ -379,6 +379,8 @@ class TestBackward:
                 keep = np.zeros(z.shape, dtype=bool)
                 keep[expected[layer]] = keep_rule(gen, (sizes[layer], z.shape[1]), 0.5)
                 h = np.maximum(z, 0.0) * (keep / 0.5)
+                # one mask per layer: its ReLU gate and keep mask at its output rows
+                assert np.array_equal(cache.gates[layer], ((z > 0) & keep)[expected[layer]])
         assert np.abs(logits - z[batch.train_local]).max() < 1e-12
         # the backward pass keeps the same rows
         wgrads, _ = backward(params, cache, rng.standard_normal(logits.shape))
@@ -494,8 +496,9 @@ class TestWholeGraphBackward:
         # the rows it reads, which are layer 1's
         assert [x.shape[0] for x in cache.layer_inputs] == [2000, 1115, 1115]
         for layer, mask in enumerate(hops[:2]):
+            # the ReLU gate and dropout keep mask in one
             assert np.array_equal(cache.gates[layer], full_cache.gates[layer][mask])
-            assert np.array_equal(cache.dropout_masks[layer], full_cache.dropout_masks[layer][mask])
+        assert cache.scale == full_cache.scale == 2.0
         assert np.array_equal(cache.layer_inputs[2], full_cache.layer_inputs[2][hops[1]])
         assert np.array_equal(cache.logit_rows, np.flatnonzero(hops[2]))
         assert [op.shape for op in cache.transposes[1:]] == [(2000, 1115), (1115, 96)]
@@ -590,15 +593,15 @@ class TestMemoryContract:
         feats = np.random.default_rng(0).standard_normal((batch.num_nodes, 6))
         logits, cache = forward(params, batch, feats, train_mode=True, seed=2)
         assert cache.logits is logits
+        # one bool array per hidden layer, the ReLU gate and dropout keep mask in one,
+        # at the rows that layer outputs
         assert [g.dtype for g in cache.gates] == [np.dtype(bool)] * 2
-        if dropout:
-            assert [m.dtype for m in cache.dropout_masks] == [np.dtype(bool)] * 2
-            assert [m.shape for m in cache.dropout_masks] == [g.shape for g in cache.gates]
-        else:
-            assert cache.dropout_masks == [None, None]
+        assert [g.shape for g in cache.gates] == [(rows.size, w.shape[1]) for rows, w in
+                                                  zip(batch.layer_rows, params.weights[:2])]
+        assert cache.scale == 1.0 / (1.0 - dropout)
         backward(params, cache, np.ones_like(logits))
         assert cache.layer_inputs == [None] * 3
-        assert cache.gates == cache.dropout_masks == [None] * 2
+        assert cache.gates == [None] * 2
 
     def test_second_backward_on_one_cache_is_rejected(self, rng):
         batch = make_batch(4, [(0, 1), (2, 3)])
