@@ -21,7 +21,7 @@ from als_graph.harness import (
     apply_overrides,
     build_config,
     load_config_file,
-    run_experiment,
+    run_repeated,
 )
 from als_graph.reporting import write_report
 
@@ -49,7 +49,7 @@ def main() -> None:
     args = parser.parse_args()
 
     try:
-        base = base_config(args)
+        base = replace(base_config(args), seed=0, repeats=args.seeds)
     except ValueError as err:
         parser.error(str(err))
     methods = {
@@ -59,15 +59,13 @@ def main() -> None:
     }
     print(f"{'method':6s} {'test_acc':>16s} {'test_loss':>10s} {'train_mmp':>10s}")
     for name, cfg in methods.items():
-        finals = []
-        for seed in range(args.seeds):
-            report = run_experiment(replace(cfg, seed=seed))
-            write_report(report, args.out_dir / f"{name}_seed{seed}.json")
-            finals.append(report.per_epoch[-1])
-        acc = np.array([r.test_acc for r in finals])
+        aggregated, reports = run_repeated(cfg)
+        for report in reports:
+            write_report(report, args.out_dir / f"{name}_seed{report.seeds[0]}.json")
+        finals = [report.per_epoch[-1] for report in reports]
         loss = np.mean([r.test_loss for r in finals])
         mmp = np.mean([r.mean_max_prob for r in finals])
-        print(f"{name:6s} {acc.mean():8.4f} +- {acc.std(ddof=1) if len(acc) > 1 else 0.0:.4f} "
+        print(f"{name:6s} {aggregated.final_test_acc_mean:8.4f} +- {aggregated.final_test_acc_std:.4f} "
               f"{loss:10.4f} {mmp:10.4f}")
     print(f"reports under {args.out_dir}")
 

@@ -33,11 +33,17 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="override individual config keys")
 
 
+def _make_dir(flag: str, value, directory: Path) -> None:
+    try:  # before any work, so a bad output path costs no training
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"{flag} {value}: cannot make directory {directory} ({exc.strerror})") from None
+
+
 def cmd_propagate(args) -> int:
     if args.num_nodes < 0:
         raise ValueError(f"--num-nodes must be non-negative (0 infers it), got {args.num_nodes}")
-    cfg = (harness.build_config(harness.load_config_file(args.config)) if args.config
-           else harness.ExperimentConfig())
+    cfg = harness.build_config(harness.load_config_file(args.config) if args.config else {})
     beta = cfg.beta if args.beta is None else args.beta
     k = cfg.k_steps if args.k is None else args.k
     check_settings(beta, k)  # before any input file is read
@@ -57,16 +63,17 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     if out.suffix == ".csv":  # the per-epoch CSV goes to out.with_suffix(".csv")
         raise ValueError(f"--out {out}: the per-epoch CSV would overwrite the report; end it in .json")
+    if out.is_dir():
+        raise ValueError(f"--out {out}: is a directory; name the report file")
     cfg = harness.build_config(_load_mapping(args))
     if args.checkpoint_dir and cfg.repeats > 1:
         raise ValueError("--checkpoint-dir saves one run's parameters; "
                          f"it cannot be combined with train.repeats = {cfg.repeats}")
-    if cfg.repeats > 1:
-        report, _ = harness.run_repeated(cfg)
-        result = None
-    else:
-        result = harness.run_training(cfg)
-        report = result.report
+    _make_dir("--out", out, out.parent)
+    if args.checkpoint_dir:
+        _make_dir("--checkpoint-dir", args.checkpoint_dir, Path(args.checkpoint_dir))
+    result = None if cfg.repeats > 1 else harness.run_training(cfg)
+    report = harness.run_repeated(cfg)[0] if result is None else result.report
     if result is not None and result.refinement is not None:
         relevance = out.with_name(out.stem + ".relevance.csv")
         harness.export_relevance(result.refinement, relevance)
@@ -99,6 +106,7 @@ def cmd_analyze_bias(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = harness.build_config(_load_mapping(args))
+    _make_dir("--out-dir", args.out_dir, Path(args.out_dir))
     results = harness.run_ablations(cfg, args.out_dir)
     for name, report in results.items():
         print(f"{name}: {report.final_test_acc_mean:.4f} +/- {report.final_test_acc_std:.4f}")
@@ -107,9 +115,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    mapping = _load_mapping(args)
-    grid = harness.parse_sweep_grid(mapping)
-    rows = harness.run_sweep(harness.build_config(mapping), grid, args.out_dir)
+    grid, mapping = harness.parse_sweep_grid(_load_mapping(args))
+    cfg = harness.build_config(mapping)
+    _make_dir("--out-dir", args.out_dir, Path(args.out_dir))
+    rows = harness.run_sweep(cfg, grid, args.out_dir)
     print(f"swept {len(rows)} points; wrote sweep_summary.csv to {args.out_dir}")
     return 0
 

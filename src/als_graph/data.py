@@ -378,6 +378,6 @@ def load_features(path) -> np.ndarray:
     if magic != MATRIX_MAGIC:
         return read_matrix_csv(path)
     features = read_matrix_binary(path)
-    if features.shape[0] == 0:  # rejected as an empty CSV is
-        raise ValueError(f"{path}: no matrix rows found")
+    if 0 in features.shape:  # no rows is rejected as an empty CSV is
+        raise ValueError(f"{path}: no matrix {'rows' if features.shape[0] == 0 else 'columns'} found")
     return features

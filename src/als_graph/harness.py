@@ -17,7 +17,6 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import itertools
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -47,7 +46,8 @@ from .model import (
     sign_precompute,
 )
 from .propagation import init_label_matrix, predict_by_propagation, propagate
-from .reporting import EpochRecord, ExperimentReport, _read_json_object, write_csv, write_report
+from .reporting import (NUMBER, EpochRecord, ExperimentReport, _read_json_object, _typed, _write_json,
+                        write_csv, write_report)
 from .sampling import (
     Batch,
     Partition,
@@ -200,6 +200,14 @@ _SWEEP_KEYS = {
 }
 
 
+def _parse(key: str, parser, text: str):
+    """``parser(text)``; an error names the config key."""
+    try:
+        return parser(text)
+    except ValueError as exc:
+        raise ValueError(f"config key {key}: {exc}") from None
+
+
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
     mapping: dict[str, str] = {}
     for lineno, line, raw in scan_lines(text.splitlines()):
@@ -229,16 +237,11 @@ def apply_overrides(mapping: dict[str, str], overrides) -> dict[str, str]:
 def build_config(mapping: dict[str, object]) -> ExperimentConfig:
     kwargs = {}
     for key, value in mapping.items():
-        if key in _SWEEP_KEYS:
-            continue  # grid spec, consumed by parse_sweep_grid
         if key not in _FIELDS:
             raise ValueError(f"unknown config key {key!r}")
         attr, parser = _FIELDS[key]
         if isinstance(value, str) and parser is not str:
-            try:
-                value = parser(value)
-            except ValueError as exc:
-                raise ValueError(f"config key {key}: {exc}") from None
+            value = _parse(key, parser, value)
         elif parser is _parse_ints and not isinstance(value, (str, tuple)):
             value = tuple(int(v) for v in value)
         kwargs[attr] = value
@@ -253,8 +256,9 @@ def config_to_flat(cfg: ExperimentConfig) -> dict[str, object]:
     return flat
 
 
-def parse_sweep_grid(mapping: dict[str, str]) -> dict[str, list]:
-    """Pull sweep.* keys out of a raw config mapping into attr -> distinct values."""
+def parse_sweep_grid(mapping: dict[str, str]) -> tuple[dict[str, list], dict[str, str]]:
+    """Split a raw config mapping into its grid (attr -> distinct values, from the
+    sweep.* keys) and the rest, which ``build_config`` reads."""
     grid: dict[str, list] = {}
     for key, swept in _SWEEP_KEYS.items():
         if key in mapping:
@@ -262,14 +266,11 @@ def parse_sweep_grid(mapping: dict[str, str]) -> dict[str, list]:
             if not tokens:
                 raise ValueError(f"config key {key}: no values")
             attr, parser = _FIELDS[swept]
-            try:
-                grid[attr] = [parser(tok) for tok in tokens]
-            except ValueError as exc:
-                raise ValueError(f"config key {key}: {exc}") from None
+            grid[attr] = [_parse(key, parser, tok) for tok in tokens]
             for i, value in enumerate(grid[attr]):
                 if value in grid[attr][:i]:  # the same point twice would overwrite its report
                     raise ValueError(f"config key {key}: value {tokens[i]} repeats an earlier value")
-    return grid
+    return grid, {key: value for key, value in mapping.items() if key not in _SWEEP_KEYS}
 
 
 # ---------------------------------------------------------------------------
@@ -526,18 +527,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_repeated(cfg: ExperimentConfig):
-    """Run ``cfg.repeats`` seeds (base seed + i); aggregate final test accuracy.
+    """Run ``cfg.repeats`` seeds (base seed + i), each one run at ``train.repeats = 1``.
 
-    Returns (aggregated report carrying the base seed's curves, per-seed
-    reports).
+    Returns (aggregated report: ``cfg``, the base seed's curves and the final
+    test accuracy over the seeds; per-seed reports).
     """
-    reports = [run_experiment(replace(cfg, seed=cfg.seed + i)) for i in range(cfg.repeats)]
+    seeds = [cfg.seed + i for i in range(cfg.repeats)]
+    reports = [run_experiment(replace(cfg, seed=seed, repeats=1)) for seed in seeds]
     final = np.array([r.per_epoch[-1].test_acc for r in reports])
     aggregated = dataclasses.replace(
         reports[0],
+        config=config_to_flat(cfg),
         final_test_acc_mean=float(final.mean()),
         final_test_acc_std=float(final.std(ddof=1)) if cfg.repeats > 1 else 0.0,
-        seeds=[cfg.seed + i for i in range(cfg.repeats)],
+        seeds=seeds,
     )
     return aggregated, reports
 
@@ -556,20 +559,19 @@ def export_relevance(refinement: RefinementMatrix, path) -> Path:
 SUMMARY_COLUMNS = ("final_test_acc_mean", "final_test_acc_std")
 
 
-def _summary_row(labels: dict, report: ExperimentReport) -> dict:
-    """A summary CSV row: the run's label columns, then its ``SUMMARY_COLUMNS``."""
-    return {**labels, **{c: getattr(report, c) for c in SUMMARY_COLUMNS}}
-
-
-def _run_named(named, out_dir=None) -> list[ExperimentReport]:
-    """``run_repeated`` on each ``(name, config)`` in order; with ``out_dir``, writes ``<name>.json`` there."""
-    reports = []
-    for name, cfg in named:
+def _run_named(runs, summary_csv, out_dir=None, rows=()) -> tuple[list[dict], list[ExperimentReport]]:
+    """``run_repeated`` on each ``(labels, name, config)`` in order, then a summary CSV at
+    ``summary_csv``: the given ``rows``, then per run its ``labels`` and ``SUMMARY_COLUMNS``.
+    With ``out_dir``, each run's report goes to ``<name>.json`` there. Returns (rows, reports)."""
+    rows, reports = list(rows), []
+    for labels, name, cfg in runs:
         aggregated, _ = run_repeated(cfg)
         if out_dir is not None:
             write_report(aggregated, Path(out_dir) / f"{name}.json")
+        rows.append({**labels, **{c: getattr(aggregated, c) for c in SUMMARY_COLUMNS}})
         reports.append(aggregated)
-    return reports
+    write_csv(summary_csv, tuple(rows[0]), (row.values() for row in rows))
+    return rows, reports
 
 
 def compare_label_exploitation(cfg: ExperimentConfig, out_csv) -> list[dict]:
@@ -588,11 +590,9 @@ def compare_label_exploitation(cfg: ExperimentConfig, out_csv) -> list[dict]:
     pred, abstain = predict_by_propagation(yk)
     test_ids = np.flatnonzero(dataset.test_mask)
     hits = (pred[test_ids] == dataset.labels[test_ids]) & ~abstain[test_ids]
-    rows = [{"method": "propagation_only", **dict(zip(SUMMARY_COLUMNS, (float(hits.mean()), 0.0)))}]
-    rows += [_summary_row({"method": name}, report)
-             for name, report in zip(variants, _run_named(variants.items()))]
-    write_csv(out_csv, tuple(rows[0]), (row.values() for row in rows))
-    return rows
+    baseline = {"method": "propagation_only", **dict(zip(SUMMARY_COLUMNS, (float(hits.mean()), 0.0)))}
+    runs = [({"method": name}, name, variant) for name, variant in variants.items()]
+    return _run_named(runs, out_csv, rows=[baseline])[0]
 
 
 def run_ablations(cfg: ExperimentConfig, out_dir) -> dict[str, ExperimentReport]:
@@ -605,10 +605,8 @@ def run_ablations(cfg: ExperimentConfig, out_dir) -> dict[str, ExperimentReport]
         "no_refinement": replace(base, no_refinement=True),
         "no_pacing": replace(base, no_pacing=True),
     }
-    results = dict(zip(variants, _run_named(variants.items(), out_dir)))
-    rows = [_summary_row({"variant": name}, report) for name, report in results.items()]
-    write_csv(Path(out_dir) / "ablation_summary.csv", tuple(rows[0]), (row.values() for row in rows))
-    return results
+    runs = [({"variant": name}, name, variant) for name, variant in variants.items()]
+    return dict(zip(variants, _run_named(runs, Path(out_dir) / "ablation_summary.csv", out_dir)[1]))
 
 
 def run_sweep(cfg: ExperimentConfig, grid: dict[str, list], out_dir) -> list[dict]:
@@ -617,10 +615,8 @@ def run_sweep(cfg: ExperimentConfig, grid: dict[str, list], out_dir) -> list[dic
         raise ValueError("sweep grid is empty; set sweep.r / sweep.gamma / sweep.beta / sweep.k")
     attrs = sorted(grid)
     points = [dict(zip(attrs, combo)) for combo in itertools.product(*(grid[a] for a in attrs))]
-    named = [("sweep_" + "_".join(f"{a}={v}" for a, v in p.items()), replace(cfg, **p)) for p in points]
-    rows = [_summary_row(point, report) for point, report in zip(points, _run_named(named, out_dir))]
-    write_csv(Path(out_dir) / "sweep_summary.csv", tuple(rows[0]), (row.values() for row in rows))
-    return rows
+    runs = [(p, "sweep_" + "_".join(f"{a}={v}" for a, v in p.items()), replace(cfg, **p)) for p in points]
+    return _run_named(runs, Path(out_dir) / "sweep_summary.csv", out_dir)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +626,6 @@ def run_sweep(cfg: ExperimentConfig, grid: dict[str, list], out_dir) -> list[dic
 def save_checkpoint(directory, params: ModelParams, refinement: RefinementMatrix | None,
                     cfg: ExperimentConfig) -> Path:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     manifest = {
         "arch": params.arch,
         "dropout": params.dropout,
@@ -648,26 +643,18 @@ def save_checkpoint(directory, params: ModelParams, refinement: RefinementMatrix
     if refinement is not None:
         write_matrix_binary(refinement.w, directory / "refinement.bin")
         manifest["refinement"] = "refinement.bin"
-    with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest, directory / "manifest.json")
     return directory
 
 
 def load_checkpoint(directory) -> tuple[ModelParams, RefinementMatrix | None]:
     directory = Path(directory)
     path = directory / "manifest.json"
-    manifest = _read_json_object(path, "manifest")
-    try:
-        arch, dropout, weight_names, bias_names = (
-            manifest[key] for key in ("arch", "dropout", "weights", "biases"))
-    except KeyError as exc:
-        raise ValueError(f"{path}: manifest has no {exc.args[0]!r} key") from None
-    for key, names in (("weights", weight_names), ("biases", bias_names)):
-        if not isinstance(names, list):
-            raise ValueError(f"{path}: {key!r} must be a list of file names, got {names!r}")
-    if type(dropout) not in (int, float):
-        raise ValueError(f"{path}: 'dropout' must be a number, got {dropout!r}")
+    arch, dropout, weight_names, bias_names, refinement_name = _read_json_object(
+        path, "manifest", lambda doc: (
+            doc["arch"], _typed(doc, "dropout", "", NUMBER, "a number"),
+            *(_typed(doc, key, "", (list,), "a list of file names") for key in ("weights", "biases")),
+            doc.get("refinement")))
 
     def file(key: str, name) -> Path:
         # each file the manifest names is a plain name inside the directory, never a path out of it
@@ -681,10 +668,7 @@ def load_checkpoint(directory) -> tuple[ModelParams, RefinementMatrix | None]:
         params = ModelParams(arch, weights, biases, dropout)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    refinement = None
-    if manifest.get("refinement"):
-        refinement = read_refinement(file("refinement", manifest["refinement"]))
-    return params, refinement
+    return params, read_refinement(file("refinement", refinement_name)) if refinement_name else None
 
 
 def read_refinement(path) -> RefinementMatrix:

@@ -1,4 +1,4 @@
-"""Experiment report records and their JSON/CSV persistence.
+"""Experiment report records and their JSON/CSV persistence; checkpoint manifests share the JSON I/O.
 
 A report serializes to a JSON document with keys ``config``, ``per_epoch``,
 ``bias_stats``, ``final_relevance_path`` and ``summary``; the per-epoch loss
@@ -110,13 +110,19 @@ def _report_from_dict(doc: dict) -> ExperimentReport:
 
 def write_report(report: ExperimentReport, path) -> tuple[Path, Path]:
     """Write the JSON document plus the loss-curve CSV; returns both paths."""
+    path = _write_json(report_to_dict(report), path)
+    rows = ([getattr(rec, col) for col in CSV_COLUMNS] for rec in report.per_epoch)
+    return path, write_csv(path.with_suffix(".csv"), CSV_COLUMNS, rows)
+
+
+def _write_json(doc: dict, path) -> Path:
+    """``doc`` indented by 2 with sorted keys and a trailing newline; creates the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    rows = ([getattr(rec, col) for col in CSV_COLUMNS] for rec in report.per_epoch)
-    return path, write_csv(path.with_suffix(".csv"), CSV_COLUMNS, rows)
+    return path
 
 
 def write_csv(path, columns, rows) -> Path:
@@ -130,8 +136,9 @@ def write_csv(path, columns, rows) -> Path:
     return path
 
 
-def _read_json_object(path, what: str) -> dict:
-    """The JSON object the file ``path`` holds; an error names the file."""
+def _read_json_object(path, what: str, read):
+    """``read`` of the JSON object the file ``path`` holds. An error names the file: a key
+    ``read`` misses as ``<what> has no '<key>' key``, a ``TypeError`` or ``ValueError`` by its message."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -139,15 +146,14 @@ def _read_json_object(path, what: str) -> dict:
             raise ValueError(f"{path}: {what} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: {what} must be a JSON object, got {type(doc).__name__}")
-    return doc
+    try:
+        return read(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: {what} has no {exc.args[0]!r} key") from None
+    except (TypeError, ValueError) as exc:  # a value of the wrong JSON type
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_report(path) -> ExperimentReport:
     """A report written by ``write_report``; an error names the file, and the key where one applies."""
-    doc = _read_json_object(path, "report")
-    try:
-        return _report_from_dict(doc)
-    except KeyError as exc:
-        raise ValueError(f"{path}: report has no {exc.args[0]!r} key") from None
-    except (TypeError, ValueError) as exc:  # a value of the wrong JSON type
-        raise ValueError(f"{path}: {exc}") from None
+    return _read_json_object(path, "report", _report_from_dict)

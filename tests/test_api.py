@@ -1,5 +1,6 @@
 """The package's public names are its modules' ``__all__`` lists, each name in one, no
-module imports a name it does not use, and no class checks itself in a separate step."""
+module imports a name it does not use, only ``reporting.py`` reads or writes a JSON file, and
+no class checks itself in a separate step."""
 from __future__ import annotations
 
 import ast
@@ -51,6 +52,21 @@ def test_no_module_level_import_goes_unused():
                 if bound not in read and "# noqa" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno}: {bound}")
     assert unused == []
+
+
+def test_only_reporting_calls_json_dump_or_load():
+    """``reporting.py`` owns the JSON file format: one writer and one reader serve reports
+    and checkpoints alike, so no other module dumps or loads a JSON file itself."""
+    found = []
+    for path in sorted(Path(als_graph.__file__).parent.glob("*.py")):
+        if path.name == "reporting.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr in ("dump", "load")
+                    and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                found.append(f"{path.name}:{node.lineno}: json.{func.attr}")
+    assert found == []
 
 
 def test_no_class_defines_a_validate_method():

@@ -270,6 +270,40 @@ def test_train_rejects_an_out_path_that_is_its_own_csv(tmp_path, config_path, ca
     assert list(tmp_path.iterdir()) == [config_path]  # nothing trained, nothing written
 
 
+@pytest.mark.parametrize("command, flag, target, reason", [
+    ("train", "--out", "dir", "is a directory"),
+    ("train", "--out", "file/r.json", "cannot make directory"),
+    ("train", "--checkpoint-dir", "file", "cannot make directory"),
+    ("ablate", "--out-dir", "file", "cannot make directory"),
+    ("sweep", "--out-dir", "file", "cannot make directory"),
+])
+def test_an_unusable_output_path_is_rejected_before_any_training(tmp_path, config_path, capsys, monkeypatch,
+                                                                 command, flag, target, reason):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    monkeypatch.setattr(harness, "run_training", lambda cfg: pytest.fail("trained before the check"))
+    extra = ["--out", str(tmp_path / "r.json")] if flag == "--checkpoint-dir" else []
+    extra += ["sweep.r=0.01"] if command == "sweep" else []
+    value = tmp_path / target
+    assert main([command, "--config", str(config_path), flag, str(value), *extra]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and err["message"].startswith(f"{flag} {value}: {reason}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "exp.cfg", "file"]  # nothing written
+
+
+@pytest.mark.parametrize("command", ["train", "analyze-bias", "propagate"])
+def test_a_sweep_key_is_unknown_outside_sweep(tmp_path, config_path, capsys, command):
+    """Only ``sweep`` reads sweep.* keys; anywhere else one would silently do nothing."""
+    config_path.write_text(SMALL_CONFIG + "sweep.r = abc\n")
+    extra = (["--graph", str(tmp_path / "g.tsv"), "--labels", str(tmp_path / "y.csv")]
+             if command == "propagate" else ["sweep.k=x,y"])
+    out = tmp_path / "out.bin"
+    assert main([command, "--config", str(config_path), "--out", str(out), *extra]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "ValueError", "message": "unknown config key 'sweep.r'"}
+    assert not out.exists()
+
+
 def test_export_relevance_from_checkpoint(tmp_path, config_path):
     ckpt = tmp_path / "ckpt"
     main(["train", "--config", str(config_path), "--out", str(tmp_path / "r.json"),

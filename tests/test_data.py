@@ -347,7 +347,8 @@ class TestFeatureCsv:
     def test_empty_feature_file_rejected_before_the_other_files(self, tmp_path):
         (tmp_path / "x.csv").write_text("")
         write_matrix_binary(np.zeros((0, 3)), tmp_path / "features.bin")
-        for name in ("x.csv", "features.bin"):
-            with pytest.raises(ValueError, match=rf"{re.escape(name)}: no matrix rows found"):
+        write_matrix_binary(np.zeros((4, 0)), tmp_path / "columnless.bin")  # a model would read no input
+        for name, what in (("x.csv", "rows"), ("features.bin", "rows"), ("columnless.bin", "columns")):
+            with pytest.raises(ValueError, match=rf"{re.escape(name)}: no matrix {what} found"):
                 load_dataset(tmp_path / "missing.tsv", tmp_path / name,
                              tmp_path / "missing.csv", tmp_path / "missing.csv")

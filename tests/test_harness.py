@@ -220,8 +220,9 @@ class TestConfig:
         assert again == cfg
 
     def test_sweep_grid_parsing(self):
-        grid = parse_sweep_grid({"sweep.r": "0.01, 0.02", "sweep.k": "1,2", "loss.mode": "als"})
+        grid, rest = parse_sweep_grid({"sweep.r": "0.01, 0.02", "sweep.k": "1,2", "loss.mode": "als"})
         assert grid == {"pacing_r": [0.01, 0.02], "k_steps": [1, 2]}
+        assert rest == {"loss.mode": "als"}  # what build_config reads, no sweep.* key in it
 
     def test_bad_sweep_value_names_the_key(self):
         with pytest.raises(ValueError, match=r"config key sweep\.k: invalid literal .* 'x'"):
@@ -310,9 +311,14 @@ class TestRunExperiment:
         assert len(report.per_epoch) == 2
 
     def test_repeated_seeds_aggregate(self):
-        aggregated, reports = run_repeated(small_cfg(repeats=3, epochs=2))
+        cfg = small_cfg(repeats=3, epochs=2)
+        aggregated, reports = run_repeated(cfg)
         assert len(reports) == 3
         assert aggregated.seeds == [0, 1, 2]
+        for i, report in enumerate(reports):  # each per-seed report is one run
+            assert (report.config["train.repeats"], report.config["train.seed"]) == (1, cfg.seed + i)
+            assert report.seeds == [cfg.seed + i]
+        assert aggregated.config == config_to_flat(cfg)
         finals = [r.per_epoch[-1].test_acc for r in reports]
         assert aggregated.final_test_acc_mean == pytest.approx(np.mean(finals))
         assert aggregated.final_test_acc_std == pytest.approx(np.std(finals, ddof=1))
